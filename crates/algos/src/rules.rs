@@ -1,5 +1,4 @@
-//! The global orientation rule `F` shared by the deterministic algorithm
-//! and the residual-component finisher of the randomized algorithm.
+//! The global orientation rule `F` of the deterministic algorithm.
 //!
 //! `F` maps `(graph, identifiers, L)` to an orientation of every edge such
 //! that every node lying in or hanging off the "short-cycle core"
@@ -8,9 +7,27 @@
 //! the direction of each edge is a function of quantities (`d`, `γ`, the
 //! canonical cycle `f(e)`, identifiers) that a node can compute exactly
 //! from a sufficiently large ball, which is what makes the distributed
-//! simulation in [`crate::sinkless_det`] legal. The consistency argument is
-//! spelled out in DESIGN.md §3.3 and verified by
-//! `fixed_point_property_on_two_triangles_sharing_an_edge` in `lcl-graph`.
+//! simulation in [`crate::sinkless_det`] legal. (The randomized algorithm's
+//! finisher does not use `F`: [`crate::sinkless_rand`] orients residual
+//! components with its own `solve_residual_component`.)
+//!
+//! **Why core nodes get out-edges.** Write `f(e)` for the canonical minimum
+//! among the shortest cycles through `e` (the [`CycleSearch`] order: length,
+//! then canonical key sequences), and for a core node `v` let `K*(v)` be
+//! the minimum of `f(e)` over the edges `e` at `v` with `γ(e) ≤ L`. `K*(v)`
+//! passes through `v` along two edges `e₁, e₂` (one, for a self-loop), and
+//! `f(eᵢ) = K*(v)`: a cycle through `eᵢ` shorter than `K*(v)` would also
+//! pass through `v` and undercut `K*(v)`, so `K*(v)` is among the shortest
+//! cycles through `eᵢ` and `f(eᵢ) ≤ K*(v)`; minimality gives `≥`. Every
+//! edge with `γ(e) ≤ L` (both its endpoints are then core) is oriented
+//! along `f(e)`, and `K*(v)`'s canonical direction leaves `v` through
+//! exactly one of `e₁, e₂`, so `v` has an out-edge. Both endpoints of `e`
+//! evaluate `f(e)` on the same certified ball, so they agree on its
+//! direction. The argument assumes `K*(v)` is among the cycles enumerated
+//! for `eᵢ`; an enumeration cap below the number of shortest cycles
+//! through `eᵢ` can break that (endpoint agreement survives any cap). The
+//! unit test `fixed_point_property_on_two_triangles_sharing_an_edge` in
+//! `lcl-graph` checks the fixed point on a small instance.
 //!
 //! Per-component case analysis:
 //!
@@ -31,7 +48,8 @@
 
 use lcl_core::problems::Orient;
 use lcl_core::Labeling;
-use lcl_graph::{CycleSearch, Graph, NodeId, Side};
+use lcl_graph::{CycleScratch, CycleSearch, EdgeId, Graph, NodeId, Side};
+use lcl_local::NodeExecutor;
 use std::collections::VecDeque;
 
 /// Per-node analysis produced alongside the orientation: which rule branch
@@ -57,34 +75,41 @@ pub enum Branch {
     Forest,
 }
 
-/// Computes `γ(e) ≤ cap` for every edge: the length of the shortest cycle
-/// through `e` when it is at most `cap`, else `None`.
-#[must_use]
-pub fn edge_short_cycle_lengths(g: &Graph, cap: u32, search: &CycleSearch) -> Vec<Option<u32>> {
-    g.edges().map(|e| search.shortest_len_through_edge_capped(g, e, cap)).collect()
-}
-
 /// The global orientation function `F`.
 ///
 /// `ids` are the LOCAL identifiers (`ids[v]` for node `v`), `short_cycle_cap`
 /// is the threshold `L`, and `search` bounds canonical-cycle enumeration.
 /// Returns the orientation (as a sinkless-orientation output labeling) and
 /// the per-node analysis.
+///
+/// The per-edge short-cycle work — `γ(e) ≤ L` and, for those edges, the
+/// canonical cycle `f(e)` — fans across `exec` with one [`CycleScratch`]
+/// per worker. Each edge's result is a pure function of the input, so the
+/// output is bit-identical under any executor.
 #[must_use]
-pub fn orient_globally(
+pub fn orient_globally<X: NodeExecutor>(
     g: &Graph,
     ids: &[u64],
     short_cycle_cap: u32,
     search: &CycleSearch,
+    exec: &X,
 ) -> (Labeling<Orient>, Vec<NodeAnalysis>) {
     assert_eq!(ids.len(), g.node_count(), "one id per node");
     let edge_keys: Vec<u64> = g.edges().map(|e| u64::from(e.0)).collect();
-    let gamma_e = edge_short_cycle_lengths(g, short_cycle_cap, search);
+    // Per edge with γ(e) ≤ L: the endpoint that `f(e)`'s canonical
+    // direction leaves from (`None` iff γ(e) > L).
+    let cycle_source: Vec<Option<NodeId>> =
+        exec.map_nodes_init(g.edge_count(), CycleScratch::new, |scratch, ei| {
+            let e = EdgeId(ei as u32);
+            let k = search.min_cycle_with(scratch, g, e, short_cycle_cap, ids, &edge_keys)?;
+            let i = k.edges().iter().position(|&x| x == e).expect("e on its own cycle");
+            Some(k.nodes()[i])
+        });
 
     // Node memberships: γ(u) ≤ L iff some incident edge has γ(e) ≤ L.
     let mut is_core = vec![false; g.node_count()];
     for e in g.edges() {
-        if gamma_e[e.index()].is_some() {
+        if cycle_source[e.index()].is_some() {
             let [a, b] = g.endpoints(e);
             is_core[a.index()] = true;
             is_core[b.index()] = true;
@@ -111,22 +136,19 @@ pub fn orient_globally(
             let internal_edges = comp.nodes.iter().map(|&v| g.ports(v).len()).sum::<usize>() / 2;
             if internal_edges >= comp.nodes.len() {
                 branch = Branch::LongCycle;
-                // Canonical minimum girth cycle of the component.
-                let girth = comp
-                    .nodes
-                    .iter()
-                    .flat_map(|&v| g.ports(v).iter().map(|h| h.edge()))
-                    .filter_map(|e| search.shortest_len_through_edge(g, e))
-                    .min()
-                    .expect("cyclic component has a cycle");
+                // Canonical minimum girth cycle of the component: cycles
+                // order by length first, so the minimum over all edges'
+                // `f(e)` is the minimum over the girth edges'.
+                let mut scratch = CycleScratch::new();
                 let k = comp
                     .nodes
                     .iter()
                     .flat_map(|&v| g.ports(v).iter().map(|h| h.edge()))
-                    .filter(|&e| search.shortest_len_through_edge(g, e) == Some(girth))
-                    .filter_map(|e| search.min_cycle_through_edge(g, e, ids, &edge_keys))
+                    .filter_map(|e| {
+                        search.min_cycle_with(&mut scratch, g, e, u32::MAX, ids, &edge_keys)
+                    })
                     .min()
-                    .expect("girth edge lies on a cycle");
+                    .expect("cyclic component has a cycle");
                 // Orient K canonically right away.
                 for (i, &e) in k.edges().iter().enumerate() {
                     let src = k.nodes()[i];
@@ -192,12 +214,8 @@ pub fn orient_globally(
             v
         } else if du == 0 && branch == Branch::Core {
             // Both in the core: canonical-cycle rule when γ(e) ≤ L.
-            if gamma_e[e.index()].is_some() {
-                let k = search
-                    .min_cycle_through_edge(g, e, ids, &edge_keys)
-                    .expect("γ(e) ≤ L means e lies on a cycle");
-                let i = k.edges().iter().position(|&x| x == e).expect("e on its own cycle");
-                k.nodes()[i]
+            if let Some(src) = cycle_source[e.index()] {
+                src
             } else if ids[u.index()] > ids[v.index()] {
                 u
             } else {
@@ -237,6 +255,7 @@ mod tests {
     use lcl_core::problems::SinklessOrientation;
     use lcl_core::{check, Labeling as L};
     use lcl_graph::gen;
+    use lcl_local::Sequential;
 
     fn ids_for(g: &Graph) -> Vec<u64> {
         g.nodes().map(|v| u64::from(v.0) + 1).collect()
@@ -244,7 +263,7 @@ mod tests {
 
     fn assert_sinkless(g: &Graph, min_deg: usize) {
         let ids = ids_for(g);
-        let (out, _) = orient_globally(g, &ids, 9, &CycleSearch::default());
+        let (out, _) = orient_globally(g, &ids, 9, &CycleSearch::default(), &Sequential);
         let input = L::uniform(g, ());
         let problem = SinklessOrientation { min_constrained_degree: min_deg };
         check(&problem, g, &input, &out).expect_ok();
@@ -276,7 +295,7 @@ mod tests {
     fn forest_branch_has_no_high_degree_sinks() {
         let g = gen::complete_binary_tree(5);
         let ids = ids_for(&g);
-        let (out, analysis) = orient_globally(&g, &ids, 9, &CycleSearch::default());
+        let (out, analysis) = orient_globally(&g, &ids, 9, &CycleSearch::default(), &Sequential);
         assert!(analysis.iter().all(|a| a.branch == Branch::Forest));
         let input = L::uniform(&g, ());
         check(&SinklessOrientation::new(), &g, &input, &out).expect_ok();
@@ -287,7 +306,7 @@ mod tests {
         // Cycle of length 40 with cap 9: no short cycles, not a forest.
         let g = gen::cycle(40);
         let ids = ids_for(&g);
-        let (out, analysis) = orient_globally(&g, &ids, 9, &CycleSearch::default());
+        let (out, analysis) = orient_globally(&g, &ids, 9, &CycleSearch::default(), &Sequential);
         assert!(analysis.iter().all(|a| a.branch == Branch::LongCycle));
         let input = L::uniform(&g, ());
         check(&SinklessOrientation { min_constrained_degree: 2 }, &g, &input, &out).expect_ok();
@@ -302,7 +321,7 @@ mod tests {
         g.add_edge(NodeId(0), p0);
         g.add_edge(p0, p1);
         let ids = ids_for(&g);
-        let (_, analysis) = orient_globally(&g, &ids, 9, &CycleSearch::default());
+        let (_, analysis) = orient_globally(&g, &ids, 9, &CycleSearch::default(), &Sequential);
         assert_eq!(analysis[0].branch, Branch::Core);
         assert_eq!(analysis[0].dist_to_core, 0);
         assert_eq!(analysis[p0.index()].dist_to_core, 1);
@@ -315,7 +334,7 @@ mod tests {
         let p0 = g.add_node();
         let e = g.add_edge(NodeId(0), p0);
         let ids = ids_for(&g);
-        let (out, _) = orient_globally(&g, &ids, 9, &CycleSearch::default());
+        let (out, _) = orient_globally(&g, &ids, 9, &CycleSearch::default(), &Sequential);
         // The hanging edge must be oriented p0 -> node0 (downhill).
         use lcl_graph::HalfEdge;
         assert_eq!(*out.half(HalfEdge::new(e, Side::B)), lcl_core::problems::Orient::Out);

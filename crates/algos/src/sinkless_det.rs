@@ -87,17 +87,18 @@ pub fn run(net: &Network, params: &Params) -> DetOutcome {
     run_with(net, params, &Sequential)
 }
 
-/// [`run`] with a pluggable [`NodeExecutor`]: the per-node certification-
-/// radius accounting (one eccentricity-bounded BFS per undecided node, the
-/// dominant cost on large instances) fans across the executor. Radii are
-/// pure per-node functions of the global analysis, so the outcome is
+/// [`run`] with a pluggable [`NodeExecutor`]: the per-edge short-cycle
+/// search inside [`orient_globally`] (most of the run's time) and the
+/// per-node certification-radius accounting (one eccentricity-bounded BFS
+/// per undecided node) both fan across the executor. Cycles and radii are
+/// pure per-edge / per-node functions of the input, so the outcome is
 /// bit-identical under any executor.
 #[must_use]
 pub fn run_with<X: NodeExecutor>(net: &Network, params: &Params, exec: &X) -> DetOutcome {
     let g = net.graph();
     let el = params.short_cycle_cap.unwrap_or_else(|| short_cycle_threshold(net.known_n()));
     let search = CycleSearch::new(params.cycle_cap);
-    let (labeling, analysis) = orient_globally(g, net.ids(), el, &search);
+    let (labeling, analysis) = orient_globally(g, net.ids(), el, &search, exec);
 
     // Honest radius accounting. Node v decides once
     //   max_{x ∈ {v} ∪ N(v)} d(x) ≤ r − L − 2

@@ -229,17 +229,30 @@ fn padded_solver_pooled_matches_sequential() {
 
 /// The executor-threaded deterministic sinkless orientation (the inner
 /// algorithm a padded run simulates) must be bit-identical under the
-/// pooled executor, radii accounting included.
+/// pooled executor, per-edge cycle search and radii accounting included —
+/// also when a small enumeration cap truncates the shortest cycles.
 #[test]
 fn sinkless_det_pooled_matches_sequential() {
     for seed in [2u64, 11] {
         let g = gen::random_regular(96, 3, seed).expect("generable");
         let net = Network::new(g, IdAssignment::Shuffled { seed });
-        let params = sinkless_det::Params::default();
-        let seq = sinkless_det::run(&net, &params);
-        let par = sinkless_det::run_with(&net, &params, &Parallel);
-        assert_eq!(seq.labeling, par.labeling, "labeling diverged (seed {seed})");
-        assert_eq!(seq.trace, par.trace, "radius trace diverged (seed {seed})");
+        for cycle_cap in [1usize, 4, 64] {
+            let params = sinkless_det::Params { cycle_cap, ..Default::default() };
+            let seq = sinkless_det::run(&net, &params);
+            let par = sinkless_det::run_with(&net, &params, &Parallel);
+            assert_eq!(
+                seq.labeling, par.labeling,
+                "labeling diverged (seed {seed}, cap {cycle_cap})"
+            );
+            assert_eq!(
+                seq.trace, par.trace,
+                "radius trace diverged (seed {seed}, cap {cycle_cap})"
+            );
+            assert_eq!(
+                seq.analysis, par.analysis,
+                "analysis diverged (seed {seed}, cap {cycle_cap})"
+            );
+        }
     }
 }
 

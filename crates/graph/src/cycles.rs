@@ -12,11 +12,18 @@
 //! the LOCAL-model identifiers (which are globally unique), **not** the dense
 //! graph indices, so that the order is the same no matter which node's ball
 //! the computation happens in.
+//!
+//! Every query runs one search per edge `e = {u, v}`: a bidirectional BFS
+//! from `u` and `v` in `G − e` that grows the side with the smaller outer
+//! layer and stops when the two balls meet. A shortest `u`–`v` path of
+//! length `D` is found once the two radii sum to `D`, so the work is bounded
+//! by two half-balls of radius about `D / 2`, not one ball of radius `D`.
+//! The balls live in a reusable, stamped [`CycleScratch`]: a new search
+//! bumps an epoch instead of clearing, so a sweep over all edges allocates
+//! nothing after its first search.
 
-use crate::metrics::dist_avoiding_edge;
 use crate::{EdgeId, Graph, NodeId};
 use std::cmp::Ordering;
-use std::collections::VecDeque;
 
 /// A simple cycle in canonical orientation.
 ///
@@ -51,40 +58,8 @@ impl CanonicalCycle {
     ) -> CanonicalCycle {
         assert_eq!(nodes.len(), edges.len(), "cycle must have equal node/edge counts");
         assert!(!nodes.is_empty(), "cycle must be nonempty");
-        let len = nodes.len();
-        // (node keys, edge keys, nodes, edges) of the best rotation so far.
-        type Rotation = (Vec<u64>, Vec<u64>, Vec<NodeId>, Vec<EdgeId>);
-        let mut best: Option<Rotation> = None;
-        // All rotations in both directions.
-        for start in 0..len {
-            for &dir in &[1isize, -1] {
-                let mut ns = Vec::with_capacity(len);
-                let mut es = Vec::with_capacity(len);
-                let mut i = start as isize;
-                for _ in 0..len {
-                    ns.push(nodes[i.rem_euclid(len as isize) as usize]);
-                    // Forward: edge i joins node i -> i+1. Backward from
-                    // position i we traverse edge (i-1) to reach node i-1.
-                    let e = if dir == 1 {
-                        edges[i.rem_euclid(len as isize) as usize]
-                    } else {
-                        edges[(i - 1).rem_euclid(len as isize) as usize]
-                    };
-                    es.push(e);
-                    i += dir;
-                }
-                let nk: Vec<u64> = ns.iter().map(|v| node_key[v.index()]).collect();
-                let ek: Vec<u64> = es.iter().map(|e| edge_key[e.index()]).collect();
-                let cand = (nk, ek, ns, es);
-                if best.as_ref().is_none_or(|b| {
-                    (cand.0.as_slice(), cand.1.as_slice()) < (b.0.as_slice(), b.1.as_slice())
-                }) {
-                    best = Some(cand);
-                }
-            }
-        }
-        let (node_keys, edge_keys, nodes, edges) = best.expect("nonempty cycle");
-        CanonicalCycle { nodes, edges, node_keys, edge_keys }
+        let walk = Walk { nodes, edges };
+        walk.materialize(walk.min_rotation(node_key, edge_key), node_key, edge_key)
     }
 
     /// Cycle length (number of edges = number of nodes).
@@ -142,13 +117,344 @@ impl Ord for CanonicalCycle {
     }
 }
 
+/// One of the `2·len` ways to read a closed walk: a start position and a
+/// direction.
+#[derive(Clone, Copy, Debug)]
+struct Rotation {
+    start: usize,
+    forward: bool,
+}
+
+/// A closed walk (`edges[i]` joins `nodes[i]` and `nodes[(i+1) % len]`),
+/// read in place under any [`Rotation`].
+#[derive(Clone, Copy)]
+struct Walk<'a> {
+    nodes: &'a [NodeId],
+    edges: &'a [EdgeId],
+}
+
+impl Walk<'_> {
+    fn node(self, r: Rotation, i: usize) -> NodeId {
+        let len = self.nodes.len();
+        self.nodes[if r.forward { (r.start + i) % len } else { (r.start + len - i) % len }]
+    }
+
+    /// Forward, step `i` leaves through edge `start + i`; backward, step `i`
+    /// goes from position `start − i` to `start − i − 1` through edge
+    /// `start − i − 1`.
+    fn edge(self, r: Rotation, i: usize) -> EdgeId {
+        let len = self.edges.len();
+        self.edges[if r.forward { (r.start + i) % len } else { (r.start + 2 * len - i - 1) % len }]
+    }
+
+    /// Compares rotation `r` of `self` with rotation `or` of `other` (same
+    /// length) by `(node key sequence, edge key sequence)`.
+    fn cmp_rotations(
+        self,
+        r: Rotation,
+        other: Walk<'_>,
+        or: Rotation,
+        node_key: &[u64],
+        edge_key: &[u64],
+    ) -> Ordering {
+        let len = self.nodes.len();
+        debug_assert_eq!(len, other.nodes.len());
+        (0..len)
+            .map(|i| node_key[self.node(r, i).index()].cmp(&node_key[other.node(or, i).index()]))
+            .chain((0..len).map(|i| {
+                edge_key[self.edge(r, i).index()].cmp(&edge_key[other.edge(or, i).index()])
+            }))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    }
+
+    /// The first (in start-then-direction order) of the rotations with the
+    /// smallest key sequences.
+    fn min_rotation(self, node_key: &[u64], edge_key: &[u64]) -> Rotation {
+        let mut best = Rotation { start: 0, forward: true };
+        for start in 0..self.nodes.len() {
+            for forward in [true, false] {
+                let r = Rotation { start, forward };
+                if self.cmp_rotations(r, self, best, node_key, edge_key).is_lt() {
+                    best = r;
+                }
+            }
+        }
+        best
+    }
+
+    fn materialize(self, r: Rotation, node_key: &[u64], edge_key: &[u64]) -> CanonicalCycle {
+        let len = self.nodes.len();
+        let nodes: Vec<NodeId> = (0..len).map(|i| self.node(r, i)).collect();
+        let edges: Vec<EdgeId> = (0..len).map(|i| self.edge(r, i)).collect();
+        let node_keys = nodes.iter().map(|v| node_key[v.index()]).collect();
+        let edge_keys = edges.iter().map(|e| edge_key[e.index()]).collect();
+        CanonicalCycle { nodes, edges, node_keys, edge_keys }
+    }
+}
+
+/// One side of the bidirectional search: a BFS ball grown layer by layer.
+#[derive(Debug, Default)]
+struct HalfBall {
+    /// `(stamp, dist)`: the node is in the ball, at distance `dist` from
+    /// the root, iff `stamp` equals the scratch's epoch.
+    mark: Vec<(u32, u32)>,
+    /// Members in BFS order; layer `d` is `order[starts[d]..starts[d + 1]]`.
+    order: Vec<NodeId>,
+    starts: Vec<usize>,
+}
+
+impl HalfBall {
+    fn reset(&mut self, root: NodeId, epoch: u32) {
+        self.order.clear();
+        self.order.push(root);
+        self.starts.clear();
+        self.starts.extend([0, 1]);
+        self.mark[root.index()] = (epoch, 0);
+    }
+
+    fn radius(&self) -> u32 {
+        (self.starts.len() - 2) as u32
+    }
+
+    fn layer(&self, d: usize) -> &[NodeId] {
+        &self.order[self.starts[d]..self.starts[d + 1]]
+    }
+
+    fn dist(&self, w: NodeId, epoch: u32) -> Option<u32> {
+        let (stamp, d) = self.mark[w.index()];
+        (stamp == epoch).then_some(d)
+    }
+
+    /// Adds the next layer, skipping edge `skip`; returns whether it reached
+    /// a node of `other`.
+    fn expand(&mut self, g: &Graph, skip: EdgeId, other: &HalfBall, epoch: u32) -> bool {
+        let d = self.radius() + 1;
+        let (lo, hi) = (self.starts[self.starts.len() - 2], self.order.len());
+        let mut met = false;
+        for i in lo..hi {
+            for &h in g.ports(self.order[i]) {
+                if h.edge() == skip {
+                    continue;
+                }
+                let w = g.half_edge_peer(h);
+                if self.mark[w.index()].0 != epoch {
+                    self.mark[w.index()] = (epoch, d);
+                    self.order.push(w);
+                    met |= other.mark[w.index()].0 == epoch;
+                }
+            }
+        }
+        self.starts.push(self.order.len());
+        met
+    }
+}
+
+/// Reusable state for [`CycleSearch`]'s `*_with` queries: the two half-balls
+/// of the bidirectional search, the on-path marks, and the enumeration's
+/// path buffers. All tables grow to the largest graph seen and are
+/// invalidated in `O(1)` by bumping an epoch. The scratch is a pure
+/// accelerator — answers never depend on which queries it served before —
+/// so one scratch per worker is safe under any executor.
+#[derive(Debug, Default)]
+pub struct CycleScratch {
+    epoch: u32,
+    /// Ball around `u` (index 0) and around `v` (index 1) in `G − e`.
+    balls: [HalfBall; 2],
+    /// Stamp: the node lies on a shortest `u`–`v` path and in `u`'s ball.
+    on_path: Vec<u32>,
+    path_nodes: Vec<NodeId>,
+    path_edges: Vec<EdgeId>,
+    /// Per path position: ports of that node not yet tried, counting down.
+    cursors: Vec<usize>,
+    best_nodes: Vec<NodeId>,
+    best_edges: Vec<EdgeId>,
+}
+
+impl CycleScratch {
+    /// An empty scratch; its tables grow on first use.
+    #[must_use]
+    pub fn new() -> Self {
+        CycleScratch::default()
+    }
+
+    fn begin(&mut self, n: usize) {
+        if self.on_path.len() < n {
+            self.on_path.resize(n, 0);
+            for b in &mut self.balls {
+                b.mark.resize(n, (0, 0));
+            }
+        }
+        if self.epoch == u32::MAX {
+            self.on_path.fill(0);
+            for b in &mut self.balls {
+                b.mark.fill((0, 0));
+            }
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+    }
+
+    /// The distance `D` from `u` to `v` in `G − e` if `D ≤ max_d` (`u ≠ v`).
+    ///
+    /// Invariant: before a meeting, the balls are disjoint, so `D` exceeds
+    /// the sum of their radii. When growing one ball from radius `a` to
+    /// `a + 1` reaches the other ball (radius `b`), every node it reaches
+    /// there is at distance `a + 1 + b ≥ D` through it, and a shortest path
+    /// of length `a + b + 1` has its node at position `a + 1` inside the
+    /// other ball — so `D = a + 1 + b`. The meeting layer is completed, so
+    /// on success both balls are exact and complete to radii summing to
+    /// `D`. An exhausted side means `v` is unreachable.
+    fn search(&mut self, g: &Graph, e: EdgeId, max_d: u32) -> Option<u32> {
+        let [u, v] = g.endpoints(e);
+        self.begin(g.node_count());
+        let epoch = self.epoch;
+        let [a, b] = &mut self.balls;
+        a.reset(u, epoch);
+        b.reset(v, epoch);
+        loop {
+            let d = a.radius() + b.radius();
+            if d >= max_d {
+                return None;
+            }
+            let (fa, fb) = (a.layer(a.radius() as usize).len(), b.layer(b.radius() as usize).len());
+            if fa == 0 || fb == 0 {
+                return None;
+            }
+            let met = if fb < fa { b.expand(g, e, a, epoch) } else { a.expand(g, e, b, epoch) };
+            if met {
+                return Some(d + 1);
+            }
+        }
+    }
+
+    /// After a successful [`CycleScratch::search`], marks the nodes of `u`'s
+    /// ball (radius `ra`) that lie on a shortest `u`–`v` path: the meeting
+    /// layer (distance `ra` from `u`, inside `v`'s ball), then, layer by
+    /// layer towards `u`, every node with an on-path neighbor one layer out.
+    fn mark_paths(&mut self, g: &Graph, skip: EdgeId) {
+        let epoch = self.epoch;
+        let [a, b] = &self.balls;
+        let top = a.radius() as usize;
+        for &w in a.layer(top) {
+            if b.dist(w, epoch).is_some() {
+                self.on_path[w.index()] = epoch;
+            }
+        }
+        for k in (0..top).rev() {
+            let next = k as u32 + 1;
+            for &w in a.layer(k) {
+                let on = g.ports(w).iter().any(|&h| {
+                    let x = g.half_edge_peer(h);
+                    h.edge() != skip
+                        && self.on_path[x.index()] == epoch
+                        && a.mark[x.index()].1 == next
+                });
+                if on {
+                    self.on_path[w.index()] = epoch;
+                }
+            }
+        }
+    }
+
+    /// Position of `w` on a shortest `u`–`v` path of length `d`, if it lies
+    /// on one in reach of the balls: its distance from `u` on `u`'s side,
+    /// `d` minus its distance from `v` on `v`'s side. Given an on-path
+    /// predecessor at position `k`, a neighbor at position `k + 1` is
+    /// exactly a next node of a shortest path.
+    fn position(&self, w: NodeId, d: u32) -> Option<u32> {
+        if self.on_path[w.index()] == self.epoch {
+            Some(self.balls[0].mark[w.index()].1)
+        } else {
+            self.balls[1].dist(w, self.epoch).map(|dv| d - dv)
+        }
+    }
+
+    /// Enumerates shortest `u`–`v` paths of length `d` (marked by
+    /// [`CycleScratch::mark_paths`]) depth-first, trying each node's ports
+    /// from last to first, and stops after `cap` paths; returns the
+    /// canonically smallest of the cycles they close with `e`. Ties keep
+    /// the earliest path and, within a path, the earliest rotation.
+    fn min_enumerated(
+        &mut self,
+        g: &Graph,
+        e: EdgeId,
+        d: u32,
+        cap: usize,
+        node_key: &[u64],
+        edge_key: &[u64],
+    ) -> CanonicalCycle {
+        let [u, v] = g.endpoints(e);
+        self.path_nodes.clear();
+        self.path_edges.clear();
+        self.cursors.clear();
+        self.path_nodes.push(u);
+        self.cursors.push(g.degree(u));
+        let mut best: Option<Rotation> = None;
+        let mut produced = 0usize;
+        while let Some(&x) = self.path_nodes.last() {
+            let step = if x == v {
+                debug_assert_eq!(self.path_edges.len() as u32, d);
+                self.path_edges.push(e);
+                let path = Walk { nodes: &self.path_nodes, edges: &self.path_edges };
+                let r = path.min_rotation(node_key, edge_key);
+                let kept = Walk { nodes: &self.best_nodes, edges: &self.best_edges };
+                if best.is_none_or(|b| path.cmp_rotations(r, kept, b, node_key, edge_key).is_lt()) {
+                    self.best_nodes.clone_from(&self.path_nodes);
+                    self.best_edges.clone_from(&self.path_edges);
+                    best = Some(r);
+                }
+                self.path_edges.pop();
+                produced += 1;
+                if produced >= cap {
+                    break;
+                }
+                None
+            } else {
+                let next = self.path_nodes.len() as u32;
+                let mut p = *self.cursors.last().expect("one cursor per path node");
+                let step = loop {
+                    if p == 0 {
+                        break None;
+                    }
+                    p -= 1;
+                    let h = g.ports(x)[p];
+                    let w = g.half_edge_peer(h);
+                    if h.edge() != e && self.position(w, d) == Some(next) {
+                        break Some((w, h.edge()));
+                    }
+                };
+                *self.cursors.last_mut().expect("one cursor per path node") = p;
+                step
+            };
+            if let Some((w, f)) = step {
+                self.path_nodes.push(w);
+                self.path_edges.push(f);
+                self.cursors.push(g.degree(w));
+            } else {
+                self.path_nodes.pop();
+                self.path_edges.pop();
+                self.cursors.pop();
+            }
+        }
+        let best = best.expect("u lies on a shortest path to v");
+        Walk { nodes: &self.best_nodes, edges: &self.best_edges }
+            .materialize(best, node_key, edge_key)
+    }
+}
+
 /// Bounded shortest-cycle enumeration.
 ///
 /// `cap` bounds how many shortest cycles through an edge are enumerated; the
 /// minimum over the enumerated set is still a deterministic function of the
-/// input (both endpoints of an edge compute the same set), so endpoint
-/// agreement is preserved even when the cap truncates. On the generators in
-/// this repository the cap is never reached (see DESIGN.md §3.3).
+/// input (both endpoints of an edge compute the same set, in the same
+/// order), so endpoint agreement is preserved even when the cap truncates.
+/// The cap binds only where more than `cap` shortest cycles pass through
+/// one edge: dense graphs such as `K_n` for `n > cap + 2`, or heavy
+/// multi-edges. No edge of the sparse generator zoo in the
+/// `cycle_search_equiv` tests reaches the default of 64, and the `ablations`
+/// experiment finds the orientation of a random 3-regular graph at
+/// `n = 4096` unchanged for every cap from 16 up.
 #[derive(Clone, Copy, Debug)]
 pub struct CycleSearch {
     cap: usize,
@@ -176,21 +482,30 @@ impl CycleSearch {
     /// no cycle. Self-loops yield 1, parallel pairs 2.
     #[must_use]
     pub fn shortest_len_through_edge(&self, g: &Graph, e: EdgeId) -> Option<u32> {
-        let [u, v] = g.endpoints(e);
-        if u == v {
-            return Some(1);
-        }
-        dist_avoiding_edge(g, u, v, e).map(|d| d + 1)
+        self.shortest_len_through_edge_capped(g, e, u32::MAX)
     }
 
     /// Like [`CycleSearch::shortest_len_through_edge`], but only reports
-    /// cycles of length at most `cap` (the BFS stops early): returns `None`
-    /// when the shortest cycle through `e` is longer than `cap` or absent.
-    /// This is the length-`L`-bounded girth query the deterministic
+    /// cycles of length at most `cap` (the search stops early): returns
+    /// `None` when the shortest cycle through `e` is longer than `cap` or
+    /// absent. This is the length-`L`-bounded girth query the deterministic
     /// sinkless-orientation rule uses ("is `γ(e) ≤ L`?") without paying for
     /// a full-graph search.
     #[must_use]
     pub fn shortest_len_through_edge_capped(&self, g: &Graph, e: EdgeId, cap: u32) -> Option<u32> {
+        self.shortest_len_with(&mut CycleScratch::new(), g, e, cap)
+    }
+
+    /// [`CycleSearch::shortest_len_through_edge_capped`] on a caller-owned
+    /// scratch: the form to use in sweeps over many edges.
+    #[must_use]
+    pub fn shortest_len_with(
+        &self,
+        scratch: &mut CycleScratch,
+        g: &Graph,
+        e: EdgeId,
+        cap: u32,
+    ) -> Option<u32> {
         let [u, v] = g.endpoints(e);
         if u == v {
             return (cap >= 1).then_some(1);
@@ -198,14 +513,17 @@ impl CycleSearch {
         if cap < 2 {
             return None;
         }
-        let dist = bfs_avoiding_edge_capped(g, u, e, cap - 1);
-        dist[v.index()].map(|d| d + 1).filter(|&c| c <= cap)
+        scratch.search(g, e, cap - 1).map(|d| d + 1)
     }
 
     /// Length of a shortest cycle through node `v`.
     #[must_use]
     pub fn shortest_len_through_node(&self, g: &Graph, v: NodeId) -> Option<u32> {
-        g.ports(v).iter().filter_map(|h| self.shortest_len_through_edge(g, h.edge())).min()
+        let mut scratch = CycleScratch::new();
+        g.ports(v)
+            .iter()
+            .filter_map(|h| self.shortest_len_with(&mut scratch, g, h.edge(), u32::MAX))
+            .min()
     }
 
     /// The canonically smallest cycle among the shortest cycles through `e`
@@ -222,85 +540,36 @@ impl CycleSearch {
         node_key: &[u64],
         edge_key: &[u64],
     ) -> Option<CanonicalCycle> {
+        self.min_cycle_with(&mut CycleScratch::new(), g, e, u32::MAX, node_key, edge_key)
+    }
+
+    /// [`CycleSearch::min_cycle_through_edge`] on a caller-owned scratch,
+    /// restricted to `γ(e) ≤ max_len`: `None` if every cycle through `e` is
+    /// longer (so `.len()` of the answer is `γ(e)` whenever `γ(e) ≤
+    /// max_len`). One bidirectional search yields both `γ(e)` and the
+    /// shortest-path structure the enumeration walks.
+    #[must_use]
+    pub fn min_cycle_with(
+        &self,
+        scratch: &mut CycleScratch,
+        g: &Graph,
+        e: EdgeId,
+        max_len: u32,
+        node_key: &[u64],
+        edge_key: &[u64],
+    ) -> Option<CanonicalCycle> {
         let [u, v] = g.endpoints(e);
         if u == v {
-            return Some(CanonicalCycle::from_closed_walk(&[u], &[e], node_key, edge_key));
+            return (max_len >= 1)
+                .then(|| CanonicalCycle::from_closed_walk(&[u], &[e], node_key, edge_key));
         }
-        // Shortest u..v path length in G - e.
-        let target_len = dist_avoiding_edge(g, u, v, e)?;
-        // BFS from v avoiding e: dist_v[x] = dist(x, v) in G - e. Nodes
-        // farther than the shortest path cannot lie on a shortest cycle, so
-        // the search is capped.
-        let dist_v = bfs_avoiding_edge_capped(g, v, e, target_len);
-        // Enumerate shortest u-v paths by walking the BFS DAG from u,
-        // decreasing dist_v by one per step; each parallel edge choice is a
-        // distinct path. Bounded by `cap` completed paths.
-        let mut best: Option<CanonicalCycle> = None;
-        let mut produced = 0usize;
-        // Iterative DFS stack: (current node, path nodes, path edges).
-        let mut stack: Vec<(NodeId, Vec<NodeId>, Vec<EdgeId>)> = vec![(u, vec![u], Vec::new())];
-        while let Some((x, pnodes, pedges)) = stack.pop() {
-            if produced >= self.cap {
-                break;
-            }
-            if x == v {
-                // Close the cycle with edge e: nodes u..v, edges path + e.
-                debug_assert_eq!(pedges.len() as u32, target_len);
-                let mut edges = pedges.clone();
-                edges.push(e);
-                // Reject non-simple cycles (repeated nodes): BFS-DAG paths
-                // are automatically simple because dist strictly decreases.
-                let c = CanonicalCycle::from_closed_walk(&pnodes, &edges, node_key, edge_key);
-                if best.as_ref().is_none_or(|b| c < *b) {
-                    best = Some(c);
-                }
-                produced += 1;
-                continue;
-            }
-            let dx = match dist_v[x.index()] {
-                Some(d) => d,
-                None => continue,
-            };
-            for &h in g.ports(x) {
-                if h.edge() == e {
-                    continue;
-                }
-                let w = g.half_edge_peer(h);
-                if dist_v[w.index()] == Some(dx.wrapping_sub(1)) && dx > 0 {
-                    let mut ns = pnodes.clone();
-                    let mut es = pedges.clone();
-                    ns.push(w);
-                    es.push(h.edge());
-                    stack.push((w, ns, es));
-                }
-            }
+        if max_len < 2 {
+            return None;
         }
-        best
+        let d = scratch.search(g, e, max_len - 1)?;
+        scratch.mark_paths(g, e);
+        Some(scratch.min_enumerated(g, e, d, self.cap, node_key, edge_key))
     }
-}
-
-fn bfs_avoiding_edge_capped(g: &Graph, source: NodeId, skip: EdgeId, cap: u32) -> Vec<Option<u32>> {
-    let mut dist = vec![None; g.node_count()];
-    let mut queue = VecDeque::new();
-    dist[source.index()] = Some(0u32);
-    queue.push_back(source);
-    while let Some(x) = queue.pop_front() {
-        let d = dist[x.index()].expect("queued");
-        if d >= cap {
-            continue;
-        }
-        for &h in g.ports(x) {
-            if h.edge() == skip {
-                continue;
-            }
-            let w = g.half_edge_peer(h);
-            if dist[w.index()].is_none() {
-                dist[w.index()] = Some(d + 1);
-                queue.push_back(w);
-            }
-        }
-    }
-    dist
 }
 
 /// Convenience: shortest cycle length through `e` with the default search.
@@ -446,6 +715,23 @@ mod tests {
         let quad = CycleSearch::default().min_cycle_through_edge(&g, EdgeId(3), &nk, &ek).unwrap();
         assert!(tri < quad);
         let _ = off;
+    }
+
+    #[test]
+    fn scratch_reuse_survives_epoch_wraparound() {
+        let g = gen::torus(4, 5);
+        let (nk, ek) = identity_keys(&g);
+        let s = CycleSearch::default();
+        let fresh: Vec<_> = g.edges().map(|e| s.min_cycle_through_edge(&g, e, &nk, &ek)).collect();
+        // Leave epoch-1 stamps behind, then wrap: the restarted epochs must
+        // not mistake them for their own marks.
+        let mut scratch = CycleScratch::new();
+        let _ = s.min_cycle_with(&mut scratch, &g, EdgeId(0), u32::MAX, &nk, &ek);
+        scratch.epoch = u32::MAX;
+        for e in (0..g.edge_count() as u32).rev().map(EdgeId) {
+            let got = s.min_cycle_with(&mut scratch, &g, e, u32::MAX, &nk, &ek);
+            assert_eq!(got, fresh[e.index()], "edge {e:?}");
+        }
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub use coloring::{
     distance_k_coloring, has_locally_distinct_neighborhood, is_distance_k_coloring,
 };
 pub use components::Components;
-pub use cycles::{shortest_cycle_through_edge, CanonicalCycle, CycleSearch};
+pub use cycles::{shortest_cycle_through_edge, CanonicalCycle, CycleScratch, CycleSearch};
 pub use graph::Graph;
 pub use ids::{EdgeId, HalfEdge, NodeId, Side};
 pub use metrics::{diameter, diameter_estimate, girth};

@@ -1,65 +1,27 @@
 //! Global graph metrics: girth and diameter.
 
-use crate::{bfs_distances, Graph};
-use std::collections::VecDeque;
+use crate::{bfs_distances, CycleScratch, CycleSearch, Graph};
 
 /// Length of a shortest cycle, or `None` if the graph is acyclic.
 ///
 /// Multigraph conventions: a self-loop is a cycle of length 1; a pair of
-/// parallel edges is a cycle of length 2.
+/// parallel edges is a cycle of length 2. One [`CycleScratch`] serves every
+/// edge, and each edge's search is capped below the best length so far.
 #[must_use]
 pub fn girth(g: &Graph) -> Option<u32> {
+    let search = CycleSearch::default();
+    let mut scratch = CycleScratch::new();
     let mut best: Option<u32> = None;
     for e in g.edges() {
-        let [u, v] = g.endpoints(e);
-        if u == v {
-            return Some(1); // cannot do better
-        }
-        // Shortest u-v distance avoiding edge e, +1, is the shortest cycle
-        // through e.
-        if let Some(d) = dist_avoiding_edge(g, u, v, e) {
-            let c = d + 1;
-            if best.is_none_or(|b| c < b) {
-                best = Some(c);
-                if c == 2 {
-                    // Only a self-loop beats this, and we bail on those above
-                    // within this loop anyway; keep scanning for loops.
-                    continue;
-                }
+        let cap = best.map_or(u32::MAX, |b| b - 1);
+        if let Some(c) = search.shortest_len_with(&mut scratch, g, e, cap) {
+            best = Some(c);
+            if c == 1 {
+                break;
             }
         }
     }
     best
-}
-
-/// BFS distance from `u` to `v` not using edge `skip`.
-pub(crate) fn dist_avoiding_edge(
-    g: &Graph,
-    u: crate::NodeId,
-    v: crate::NodeId,
-    skip: crate::EdgeId,
-) -> Option<u32> {
-    let mut dist = vec![None; g.node_count()];
-    let mut queue = VecDeque::new();
-    dist[u.index()] = Some(0u32);
-    queue.push_back(u);
-    while let Some(x) = queue.pop_front() {
-        let d = dist[x.index()].expect("queued node has distance");
-        if x == v {
-            return Some(d);
-        }
-        for &h in g.ports(x) {
-            if h.edge() == skip {
-                continue;
-            }
-            let w = g.half_edge_peer(h);
-            if dist[w.index()].is_none() {
-                dist[w.index()] = Some(d + 1);
-                queue.push_back(w);
-            }
-        }
-    }
-    None
 }
 
 /// Maximum over nodes of the eccentricity within their component, i.e. the
