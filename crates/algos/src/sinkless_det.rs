@@ -28,7 +28,7 @@
 use crate::rules::{orient_globally, NodeAnalysis};
 use lcl_core::problems::Orient;
 use lcl_core::Labeling;
-use lcl_graph::{CycleSearch, NodeId};
+use lcl_graph::{CycleSearch, EccScratch, NodeId};
 use lcl_local::{LocalityTrace, Network, NodeExecutor, Sequential};
 
 /// Tuning knobs for the deterministic algorithm.
@@ -88,11 +88,13 @@ pub fn run(net: &Network, params: &Params) -> DetOutcome {
 }
 
 /// [`run`] with a pluggable [`NodeExecutor`]: the per-edge short-cycle
-/// search inside [`orient_globally`] (most of the run's time) and the
-/// per-node certification-radius accounting (one eccentricity-bounded BFS
-/// per undecided node) both fan across the executor. Cycles and radii are
-/// pure per-edge / per-node functions of the input, so the outcome is
-/// bit-identical under any executor.
+/// search inside [`orient_globally`] and the certification-radius
+/// accounting (exact eccentricities, 64 nodes per bit-parallel BFS) both
+/// fan across the executor. On random 3-regular graphs (one thread,
+/// 2-vCPU box) the accounting is still the larger share: about half the
+/// run at n = 1536, 1.45 s against the search's 0.40 s at n = 16384.
+/// Cycles and radii are pure per-edge / per-node functions of the input,
+/// so the outcome is bit-identical under any executor.
 #[must_use]
 pub fn run_with<X: NodeExecutor>(net: &Network, params: &Params, exec: &X) -> DetOutcome {
     let g = net.graph();
@@ -104,9 +106,11 @@ pub fn run_with<X: NodeExecutor>(net: &Network, params: &Params, exec: &X) -> De
     //   max_{x ∈ {v} ∪ N(v)} d(x) ≤ r − L − 2
     // on its growth schedule r ∈ {L+3, 2L+4, 3L+5, …}, or once its view
     // saturates, whichever happens first. Saturation radius = eccentricity,
-    // which we only compute exactly (one BFS) when the certification radius
-    // might exceed it: a cheap per-component eccentricity lower bound
-    // (triangle inequality from one anchor BFS) prunes almost every node.
+    // which we only compute exactly when the certification radius might
+    // exceed it: a cheap per-component eccentricity lower bound (triangle
+    // inequality from one anchor BFS) prunes the nodes whose schedule ends
+    // well inside their component. On random 3-regular graphs views
+    // saturate before the first scheduled radius, so every node is exact.
     let mut ecc_lb: Vec<u32> = vec![0; g.node_count()];
     for comp in lcl_graph::connected_components(g) {
         let anchor = comp.nodes[0];
@@ -117,35 +121,37 @@ pub fn run_with<X: NodeExecutor>(net: &Network, params: &Params, exec: &X) -> De
             ecc_lb[v.index()] = dav.max(ecc_anchor.saturating_sub(dav));
         }
     }
-    let radii: Vec<u32> = exec.map_nodes(g.node_count(), |vi| {
-        let v = NodeId(vi as u32);
-        let need = {
+    let need: Vec<Option<u32>> = g
+        .nodes()
+        .map(|v| {
+            if analysis[v.index()].branch != crate::rules::Branch::Core {
+                return None; // only saturation decides for non-core components
+            }
             let mut worst = analysis[v.index()].dist_to_core;
-            let infinite_core = analysis[v.index()].branch != crate::rules::Branch::Core;
             for (w, _) in g.neighbors(v) {
                 worst = worst.max(analysis[w.index()].dist_to_core);
             }
-            if infinite_core {
-                None // only saturation decides for non-core components
-            } else {
-                // Smallest scheduled radius with worst ≤ r - L - 2.
-                let target = worst + el + 2;
-                let step = el + 1;
-                let mut r = el + 3;
-                while r < target {
-                    r += step;
-                }
-                Some(r)
+            // Smallest scheduled radius with worst ≤ r - L - 2.
+            let target = worst + el + 2;
+            let step = el + 1;
+            let mut r = el + 3;
+            while r < target {
+                r += step;
             }
-        };
-        match need {
-            Some(r) if r <= ecc_lb[v.index()] => r,
-            _ => {
-                let ecc = lcl_graph::bfs_distances(g, v).into_iter().flatten().max().unwrap_or(0);
-                need.map_or(ecc, |r| r.min(ecc))
-            }
-        }
+            Some(r)
+        })
+        .collect();
+    let mut radii: Vec<u32> = need.iter().map(|r| r.unwrap_or(0)).collect();
+    // Nodes whose schedule may outrun saturation need their exact
+    // eccentricity: 64 per bit-parallel sweep, one scratch per worker.
+    let exact: Vec<NodeId> =
+        g.nodes().filter(|v| need[v.index()].is_none_or(|r| r > ecc_lb[v.index()])).collect();
+    let batches = exec.map_nodes_init(exact.len().div_ceil(64), EccScratch::new, |scratch, b| {
+        scratch.eccentricities(g, &exact[b * 64..exact.len().min(b * 64 + 64)])
     });
+    for (&v, ecc) in exact.iter().zip(batches.into_iter().flatten()) {
+        radii[v.index()] = need[v.index()].map_or(ecc, |r| r.min(ecc));
+    }
 
     let outcome = DetOutcome { labeling, trace: LocalityTrace::new(radii), analysis };
     if lcl_certify::enabled() {

@@ -1,7 +1,7 @@
 //! Shared experiment harness utilities.
 //!
 //! Each experiment binary (`src/bin/*.rs`) regenerates one figure/theorem
-//! artefact of the paper (see DESIGN.md §4 for the index). Every binary
+//! artefact of the paper; its module header names the artefact. Every binary
 //! funnels through one code path — [`Report::finish`] — which renders a
 //! human-readable table (or JSON rows with `--json`) **and** persists the
 //! run to the on-disk store (`results/<experiment>/<run-id>/`, see

@@ -24,7 +24,9 @@
 //! * [`family`] packages everything as the `(d, Δ)`-gadget family interface
 //!   of Definition 2 with `d = Θ(log)` (Theorem 6);
 //! * [`corrupt`] provides the structural mutation operators used by the
-//!   completeness experiments (E5/E6 in DESIGN.md).
+//!   completeness experiments: each turns a valid gadget into a
+//!   non-gadget, so some node's constant-radius check must fail (Lemmas
+//!   7–8), and `V` must emit an error proof that `check_psi` accepts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -25,7 +25,7 @@ use crate::checks::structure_errors;
 use crate::labels::{Dir, GadgetIn};
 use crate::psi::PsiOutput;
 use lcl_core::Labeling;
-use lcl_graph::{Graph, NodeId};
+use lcl_graph::{EccScratch, Graph, NodeId};
 use lcl_local::LocalityTrace;
 
 /// Result of running algorithm `V`.
@@ -186,19 +186,18 @@ pub fn run_verifier(
     let comps = lcl_graph::connected_components(g);
     let mut output = vec![PsiOutput::Ok; g.node_count()];
     let mut radii = vec![0u32; g.node_count()];
+    let mut ecc_scratch = EccScratch::new();
 
     for comp in &comps {
         let has_err = comp.nodes.iter().any(|v| err[v.index()]);
         // Honest radius: min(R, eccentricity within the component) —
-        // exact per node on small components, a conservative (never
+        // exact per node on small components (the bit-parallel kernel, 64
+        // nodes of the BFS order per sweep), a conservative (never
         // under-reported) triangle-inequality upper bound on large ones:
         // ecc(v) ≤ d(anchor, v) + ecc(anchor).
         if comp.nodes.len() <= 2048 {
-            for &v in &comp.nodes {
-                let ecc = {
-                    let d = lcl_graph::bfs_distances(g, v);
-                    comp.nodes.iter().filter_map(|w| d[w.index()]).max().unwrap_or(0)
-                };
+            let ecc = ecc_scratch.eccentricities(g, &comp.nodes);
+            for (&v, ecc) in comp.nodes.iter().zip(ecc) {
                 radii[v.index()] = r_bound.min(ecc);
             }
         } else {

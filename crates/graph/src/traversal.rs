@@ -1,4 +1,5 @@
-//! Breadth-first traversal utilities: distances, components.
+//! Breadth-first traversal utilities: distances, eccentricities,
+//! components.
 
 use crate::{Graph, NodeId};
 use std::collections::VecDeque;
@@ -32,6 +33,125 @@ pub fn bfs_distances_capped(g: &Graph, source: NodeId, cap: u32) -> Vec<Option<u
         }
     }
     dist
+}
+
+/// Eccentricity of every source within its component (0 for an isolated
+/// node), in source order. Sources may repeat and come in any order. See
+/// [`EccScratch`] for the kernel; this call uses a fresh scratch.
+#[must_use]
+pub fn eccentricities(g: &Graph, sources: &[NodeId]) -> Vec<u32> {
+    EccScratch::new().eccentricities(g, sources)
+}
+
+/// Reusable state of the bit-parallel eccentricity kernel.
+///
+/// Up to 64 sources share one BFS: bit `k` of a node's word says source `k`
+/// has reached it. Each level pushes only from the nodes whose frontier
+/// word is nonzero, so a level costs the degrees of its frontier, not of
+/// the whole graph; sources that sit close together (consecutive nodes of
+/// a component's BFS order) share most of their frontier. A source's
+/// eccentricity is the last level at which its bit reached a new node.
+///
+/// Every word is zero again when a batch ends (only the touched nodes are
+/// cleared), so the tables grow to the largest graph seen and answers
+/// never depend on earlier queries: one scratch per worker is safe under
+/// any executor.
+#[derive(Debug, Default)]
+pub struct EccScratch {
+    /// Per node: the sources that have reached it.
+    seen: Vec<u64>,
+    /// Per node: the sources that reached it at the current level.
+    front: Vec<u64>,
+    /// Per node: the sources that reach it at the next level.
+    next: Vec<u64>,
+    /// Nodes with a nonzero `front` word. This list and the next two hold
+    /// a node at most once and keep one spare slot (see `batch`).
+    active: Vec<NodeId>,
+    /// Nodes with a nonzero `next` word.
+    next_active: Vec<NodeId>,
+    /// Nodes with a nonzero `seen` word.
+    touched: Vec<NodeId>,
+}
+
+impl EccScratch {
+    /// An empty scratch; its tables grow on first use.
+    #[must_use]
+    pub fn new() -> Self {
+        EccScratch::default()
+    }
+
+    /// Eccentricity of every source within its component, in source
+    /// order; sources run in batches of 64.
+    pub fn eccentricities(&mut self, g: &Graph, sources: &[NodeId]) -> Vec<u32> {
+        let n = g.node_count();
+        if self.seen.len() < n {
+            self.seen.resize(n, 0);
+            self.front.resize(n, 0);
+            self.next.resize(n, 0);
+            for list in [&mut self.active, &mut self.next_active, &mut self.touched] {
+                list.resize(n + 1, NodeId(0));
+            }
+        }
+        let mut ecc = vec![0; sources.len()];
+        for (batch, out) in sources.chunks(64).zip(ecc.chunks_mut(64)) {
+            self.batch(g, batch, out);
+        }
+        ecc
+    }
+
+    fn batch(&mut self, g: &Graph, sources: &[NodeId], ecc: &mut [u32]) {
+        let EccScratch { seen, front, next, active, next_active, touched } = self;
+        let (mut n_active, mut n_touched) = (0, 0);
+        for (k, &s) in sources.iter().enumerate() {
+            let i = s.index();
+            if seen[i] == 0 {
+                active[n_active] = s;
+                touched[n_touched] = s;
+                n_active += 1;
+                n_touched += 1;
+            }
+            seen[i] |= 1 << k;
+            front[i] |= 1 << k;
+        }
+        let mut level = 0;
+        while n_active > 0 {
+            level += 1;
+            let mut reached = 0u64;
+            let mut n_next = 0;
+            for &v in &active[..n_active] {
+                let f = std::mem::take(&mut front[v.index()]);
+                for (w, _) in g.neighbors(v) {
+                    let wi = w.index();
+                    let (s, x) = (seen[wi], next[wi]);
+                    let new = f & !s;
+                    if new == 0 {
+                        continue;
+                    }
+                    // Branch-free appends: write into the spare slot and
+                    // keep it only on a node's first bit (the first-bit
+                    // tests mispredict on dense frontiers).
+                    touched[n_touched] = w;
+                    n_touched += usize::from(s == 0);
+                    next_active[n_next] = w;
+                    n_next += usize::from(x == 0);
+                    seen[wi] = s | new;
+                    next[wi] = x | new;
+                    reached |= new;
+                }
+            }
+            // Every `front` word is zero now: the tables trade places.
+            std::mem::swap(front, next);
+            std::mem::swap(active, next_active);
+            n_active = n_next;
+            while reached != 0 {
+                ecc[reached.trailing_zeros() as usize] = level;
+                reached &= reached - 1;
+            }
+        }
+        for &v in &touched[..n_touched] {
+            seen[v.index()] = 0;
+        }
+    }
 }
 
 /// A connected component: its nodes, in BFS discovery order.
@@ -117,6 +237,26 @@ mod tests {
         g.add_edge(NodeId(1), NodeId(1));
         let d = bfs_distances(&g, NodeId(0));
         assert_eq!(d, vec![Some(0), Some(1), Some(2)]);
+    }
+
+    #[test]
+    fn eccentricities_on_path_and_disjoint_union() {
+        let mut g = gen::path(5);
+        g.add_node(); // isolated
+        g.add_edge(NodeId(2), NodeId(2));
+        let sources = [4, 0, 5, 2, 2, 1].map(NodeId);
+        assert_eq!(eccentricities(&g, &sources), vec![4, 4, 0, 2, 2, 3]);
+        assert!(eccentricities(&g, &[]).is_empty());
+    }
+
+    #[test]
+    fn scratch_reuse_spans_batches_and_graphs() {
+        let mut scratch = EccScratch::new();
+        let big = gen::cycle(150);
+        let sources: Vec<NodeId> = (0..150).chain((0..150).rev()).map(NodeId).collect();
+        assert_eq!(scratch.eccentricities(&big, &sources), vec![75; 300]);
+        let small = gen::path(3);
+        assert_eq!(scratch.eccentricities(&small, &[NodeId(1), NodeId(0)]), vec![1, 2]);
     }
 
     #[test]

@@ -161,18 +161,25 @@ pub(crate) fn gadget_components<I: Clone + std::fmt::Debug>(
     violations: &mut Vec<Violation>,
 ) -> (Vec<GadComponent>, Vec<u32>) {
     let mut comp_of = vec![u32::MAX; g.node_count()];
+    // Host → local index; every node lies in exactly one component, so
+    // each slot is written once.
+    let mut local = vec![0u32; g.node_count()];
+    // Every GadEdge lies in exactly one component: a per-edge flag stands
+    // in for a per-component seen set (self-loops appear twice in a port
+    // table).
+    let mut edge_taken = vec![false; g.edge_count()];
     let mut comps = Vec::new();
     for start in g.nodes() {
         if comp_of[start.index()] != u32::MAX {
             continue;
         }
         let cid = comps.len() as u32;
-        let mut nodes = Vec::new();
-        let mut queue = std::collections::VecDeque::new();
+        // BFS with `nodes` as its own queue: discovery order.
+        let mut nodes = vec![start];
         comp_of[start.index()] = cid;
-        queue.push_back(start);
-        while let Some(v) = queue.pop_front() {
-            nodes.push(v);
+        let mut head = 0;
+        while let Some(&v) = nodes.get(head) {
+            head += 1;
             for &h in g.ports(v) {
                 if input.edge(h.edge()).port_edge {
                     continue;
@@ -180,16 +187,15 @@ pub(crate) fn gadget_components<I: Clone + std::fmt::Debug>(
                 let w = g.half_edge_peer(h);
                 if comp_of[w.index()] == u32::MAX {
                     comp_of[w.index()] = cid;
-                    queue.push_back(w);
+                    nodes.push(w);
                 }
             }
         }
         // Build the standalone subgraph with only GadEdges.
         let mut sub = Graph::with_capacity(nodes.len(), 0);
-        let mut to_local = std::collections::HashMap::new();
         for (i, &v) in nodes.iter().enumerate() {
             sub.add_node();
-            to_local.insert(v, NodeId(i as u32));
+            local[v.index()] = i as u32;
         }
         let mut node_labels = Vec::with_capacity(nodes.len());
         for &v in &nodes {
@@ -210,14 +216,14 @@ pub(crate) fn gadget_components<I: Clone + std::fmt::Debug>(
         }
         let mut edge_labels = Vec::new();
         let mut half_labels = Vec::new();
-        let mut seen_edge = std::collections::HashSet::new();
         for &v in &nodes {
             for &h in g.ports(v) {
-                if input.edge(h.edge()).port_edge || !seen_edge.insert(h.edge()) {
+                let e = h.edge();
+                if input.edge(e).port_edge || std::mem::replace(&mut edge_taken[e.index()], true) {
                     continue;
                 }
-                let [a, b] = g.endpoints(h.edge());
-                sub.add_edge(to_local[&a], to_local[&b]);
+                let [a, b] = g.endpoints(e);
+                sub.add_edge(NodeId(local[a.index()]), NodeId(local[b.index()]));
                 edge_labels.push(GadgetIn::Edge);
                 let mut hl = [GadgetIn::Edge; 2];
                 for (slot, side) in [(0usize, Side::A), (1, Side::B)] {
@@ -521,8 +527,10 @@ impl<P: InnerProblem> InnerProblem for PaddedProblem<P> {
         // part of constraint 2 needs radius > 1 and is not evaluable on a
         // bare configuration; the paper's Section 4.6 massages it into
         // node-edge form, which we implement as standalone proofs
-        // (lcl-gadget::ne) rather than threading through this check — see
-        // DESIGN.md §3.4.
+        // (lcl-gadget::ne) rather than threading through this check. That
+        // rewriting changes the checks' form, not which labelings pass, so
+        // `check_padded` evaluates constraint 2 per gadget component with
+        // `check_psi` instead.
         let PadOut::Node(o) = node_out else {
             return Err("node output must be a node payload".into());
         };

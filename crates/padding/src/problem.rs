@@ -77,8 +77,10 @@ pub trait InnerProblem {
     /// Filler output for positions the paper completes arbitrarily.
     fn filler_out(&self) -> Self::Out;
 
-    /// Output for the edge position of a dangling virtual half-edge (an
-    /// in-`S` port wired to a port outside its own `S`; see DESIGN.md).
+    /// Output for the edge position of a dangling virtual half-edge: an
+    /// in-`S` port (a `NoPortErr` input port of a valid gadget) whose port
+    /// edge does not reach an in-`S` port of another gadget, so the virtual
+    /// graph has no edge there and the paper leaves the output arbitrary.
     fn dangler_edge_out(&self) -> Self::Out {
         self.filler_out()
     }

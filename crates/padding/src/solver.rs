@@ -303,8 +303,9 @@ where
             .collect();
         let output = Labeling::from_parts(node_out, edge_out, half_out);
 
-        // (7) Cost accounting. The per-gadget diameter BFS is quadratic in
-        // the gadget, so it fans out too.
+        // (7) Cost accounting. Each valid gadget's exact diameter (every
+        // node's eccentricity, bit-parallel) is independent of the others,
+        // so it fans out too.
         let gadget_diameter = exec
             .map_nodes(comps.len(), |c| {
                 if vid_of_comp[c].is_some() {
