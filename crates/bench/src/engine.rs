@@ -91,6 +91,30 @@ impl NodeExecutor for EngineExec {
         }
     }
 
+    fn map_consume<T, F, C>(&self, len: usize, f: F, consume: C)
+    where
+        T: Send,
+        F: Fn(usize) -> T + Sync,
+        C: FnMut(usize, T),
+    {
+        match self {
+            EngineExec::Sequential => lcl_local::Sequential.map_consume(len, f, consume),
+            EngineExec::Parallel => Parallel.map_consume(len, f, consume),
+        }
+    }
+
+    fn update_at<T, U, F>(&self, left: &mut [T], right: &mut [U], indices: &[u32], f: F)
+    where
+        T: Send + Default,
+        U: Send + Default,
+        F: Fn(usize, &mut T, &mut U) + Sync,
+    {
+        match self {
+            EngineExec::Sequential => lcl_local::Sequential.update_at(left, right, indices, f),
+            EngineExec::Parallel => Parallel.update_at(left, right, indices, f),
+        }
+    }
+
     fn map_nodes_init<T, S, I, F>(&self, len: usize, init: I, f: F) -> Vec<T>
     where
         T: Send,
@@ -254,13 +278,9 @@ impl BatchRunner {
         C: Sync,
         M: Fn(&C) -> Vec<Row> + Sync,
     {
-        let per_cell: Vec<Vec<Row>> = if self.parallel {
-            cells.par_iter().map(&measure).collect()
-        } else {
-            cells.iter().map(&measure).collect()
-        };
+        let per_cell = self.dispatch(cells.len(), &singletons(cells.len()), |i| measure(&cells[i]));
         let mut report = Report::new();
-        for rows in per_cell {
+        for (rows, _) in per_cell {
             for row in rows {
                 report.push(row);
             }
@@ -286,26 +306,16 @@ impl BatchRunner {
     /// [`BatchRunner::try_run`] with per-cell wall-clock measurement: the
     /// returned [`GridRun`] carries each cell's milliseconds alongside the
     /// stitched report, so every run leaves cost-model training data.
-    /// Dispatch is the default chunked claiming (contiguous chunks of
-    /// `ceil(cells / workers)`); see [`BatchRunner::try_run_groups`] for
-    /// scheduled placement.
+    /// Dispatch is the default chunked claiming (every cell its own pool
+    /// job, contiguous chunks of `ceil(cells / workers)` per worker); see
+    /// [`BatchRunner::try_run_groups`] for scheduled placement.
     pub fn try_run_timed<F, M, E>(&self, cells: &[Cell<F>], measure: M) -> GridRun<E>
     where
         F: FamilySlug + Sync,
         E: Send,
         M: Fn(&Cell<F>) -> Result<Vec<Row>, E> + Sync,
     {
-        let timed = |cell: &Cell<F>| {
-            let start = Instant::now();
-            let result = measure(cell);
-            (result, start.elapsed().as_secs_f64() * 1e3)
-        };
-        let per_cell: Vec<CellOutcome<E>> = if self.parallel {
-            cells.par_iter().map(timed).collect()
-        } else {
-            cells.iter().map(timed).collect()
-        };
-        stitch(cells, per_cell)
+        self.try_run_groups(cells, &singletons(cells.len()), measure)
     }
 
     /// Executes cells under an explicit worker assignment: `groups[w]`
@@ -313,7 +323,8 @@ impl BatchRunner {
     /// job — the dispatch half of the grid scheduler (`crate::sched`).
     /// Rows, failures, and timings are stitched back in canonical cell
     /// order, so a scheduled run's report is byte-identical to a `--seq`
-    /// run's no matter how cells were placed.
+    /// run's no matter how cells were placed. This is
+    /// [`BatchRunner::try_run_parts`] with every cell a single part.
     ///
     /// # Panics
     ///
@@ -331,47 +342,13 @@ impl BatchRunner {
         E: Send,
         M: Fn(&Cell<F>) -> Result<Vec<Row>, E> + Sync,
     {
-        let mut seen = vec![false; cells.len()];
-        for g in groups {
-            for &i in g {
-                assert!(
-                    i < cells.len(),
-                    "schedule names cell {i} outside the {}-cell grid",
-                    cells.len()
-                );
-                assert!(!seen[i], "schedule assigns cell {i} twice");
-                seen[i] = true;
-            }
-        }
-        let missing = seen.iter().filter(|&&s| !s).count();
-        assert_eq!(missing, 0, "schedule leaves {missing} cell(s) unassigned");
-
-        let run_group = |group: &Vec<usize>| -> Vec<(usize, CellOutcome<E>)> {
-            group
-                .iter()
-                .map(|&i| {
-                    let start = Instant::now();
-                    let result = measure(&cells[i]);
-                    (i, (result, start.elapsed().as_secs_f64() * 1e3))
-                })
-                .collect()
-        };
-        // One pool job per group: with `groups.len()` jobs over
-        // `groups.len()` workers, the chunk-claiming pool hands each
-        // worker exactly one group.
-        let per_group: Vec<Vec<(usize, CellOutcome<E>)>> = if self.parallel {
-            groups.par_iter().map(run_group).collect()
-        } else {
-            groups.iter().map(run_group).collect()
-        };
-        // Scatter back into canonical cell order.
-        let mut slots: Vec<Option<CellOutcome<E>>> = (0..cells.len()).map(|_| None).collect();
-        for (i, outcome) in per_group.into_iter().flatten() {
-            slots[i] = Some(outcome);
-        }
-        let per_cell: Vec<CellOutcome<E>> =
-            slots.into_iter().map(|s| s.expect("partition checked above")).collect();
-        stitch(cells, per_cell)
+        self.try_run_parts(
+            cells,
+            &vec![1; cells.len()],
+            groups,
+            |cell, _| measure(&cells[cell]),
+            |_, parts| Ok(parts.into_iter().flatten().collect()),
+        )
     }
 
     /// Scheduled dispatch where a cell may consist of several independent
@@ -420,53 +397,23 @@ impl BatchRunner {
                 items.push((cell, part));
             }
         }
-        let mut seen = vec![false; items.len()];
-        for g in groups {
-            for &j in g {
-                assert!(
-                    j < items.len(),
-                    "schedule names item {j} outside the {}-item grid",
-                    items.len()
-                );
-                assert!(!seen[j], "schedule assigns item {j} twice");
-                seen[j] = true;
-            }
-        }
-        let missing = seen.iter().filter(|&&s| !s).count();
-        assert_eq!(missing, 0, "schedule leaves {missing} item(s) unassigned");
+        let per_item = self.dispatch(items.len(), groups, |j| {
+            let (cell, part) = items[j];
+            measure_part(cell, part)
+        });
 
-        type PartOutcome<P, E> = (Result<P, E>, f64);
-        let run_group = |group: &Vec<usize>| -> Vec<(usize, PartOutcome<P, E>)> {
-            group
-                .iter()
-                .map(|&j| {
-                    let (cell, part) = items[j];
-                    let start = Instant::now();
-                    let result = measure_part(cell, part);
-                    (j, (result, start.elapsed().as_secs_f64() * 1e3))
-                })
-                .collect()
-        };
-        let per_group: Vec<Vec<(usize, PartOutcome<P, E>)>> = if self.parallel {
-            groups.par_iter().map(run_group).collect()
-        } else {
-            groups.iter().map(run_group).collect()
-        };
-        let mut slots: Vec<Option<PartOutcome<P, E>>> = (0..items.len()).map(|_| None).collect();
-        for (j, outcome) in per_group.into_iter().flatten() {
-            slots[j] = Some(outcome);
-        }
-
-        // Fold each cell's parts, in part order, then assemble.
-        let mut per_cell: Vec<CellOutcome<E>> = Vec::with_capacity(cells.len());
-        let mut slot_iter = slots.into_iter();
+        // Fold each cell's parts, in part order, assemble, and stitch:
+        // rows concatenate in cell order, failures carry stable keys,
+        // timings stay cell-indexed.
+        let mut report = Report::new();
+        let mut failures = Vec::new();
+        let mut cell_ms = Vec::with_capacity(cells.len());
+        let mut item_iter = per_item.into_iter();
         for (cell, &parts) in parts_per_cell.iter().enumerate() {
             let mut ms = 0.0;
             let mut ok: Vec<P> = Vec::with_capacity(parts);
             let mut err: Option<E> = None;
-            for _ in 0..parts {
-                let (result, part_ms) =
-                    slot_iter.next().flatten().expect("partition checked above");
+            for (result, part_ms) in item_iter.by_ref().take(parts) {
                 ms += part_ms;
                 match result {
                     Ok(p) if err.is_none() => ok.push(p),
@@ -483,35 +430,72 @@ impl BatchRunner {
                     rows
                 }
             };
-            per_cell.push((outcome, ms));
+            cell_ms.push(ms);
+            match outcome {
+                Ok(rows) => {
+                    for row in rows {
+                        report.push(row);
+                    }
+                }
+                Err(e) => failures.push((cells[cell].key(), e)),
+            }
         }
-        stitch(cells, per_cell)
+        GridRun { report, failures, cell_ms }
+    }
+
+    /// The one dispatch core behind every entry point: checks that
+    /// `groups` partitions `0..len`, runs each group as **one** pool job
+    /// (its items in order, each timed), and scatters the results back
+    /// into item order. With `groups.len()` jobs over as many workers, the
+    /// chunk-claiming pool hands each worker exactly one group; singleton
+    /// groups are the default contiguous-chunk claiming.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `groups` is a partition of `0..len`.
+    fn dispatch<T, W>(&self, len: usize, groups: &[Vec<usize>], work: W) -> Vec<(T, f64)>
+    where
+        T: Send,
+        W: Fn(usize) -> T + Sync,
+    {
+        let mut seen = vec![false; len];
+        for g in groups {
+            for &j in g {
+                assert!(j < len, "schedule names item {j} outside the {len}-item grid");
+                assert!(!seen[j], "schedule assigns item {j} twice");
+                seen[j] = true;
+            }
+        }
+        let missing = seen.iter().filter(|&&s| !s).count();
+        assert_eq!(missing, 0, "schedule leaves {missing} item(s) unassigned");
+
+        let run_group = |group: &Vec<usize>| -> Vec<(usize, (T, f64))> {
+            group
+                .iter()
+                .map(|&j| {
+                    let start = Instant::now();
+                    let result = work(j);
+                    (j, (result, start.elapsed().as_secs_f64() * 1e3))
+                })
+                .collect()
+        };
+        let per_group: Vec<Vec<(usize, (T, f64))>> = if self.parallel {
+            groups.par_iter().map(run_group).collect()
+        } else {
+            groups.iter().map(run_group).collect()
+        };
+        let mut slots: Vec<Option<(T, f64)>> = (0..len).map(|_| None).collect();
+        for (j, outcome) in per_group.into_iter().flatten() {
+            slots[j] = Some(outcome);
+        }
+        slots.into_iter().map(|s| s.expect("partition checked above")).collect()
     }
 }
 
-/// One executed cell's measurement outcome paired with its wall time in
-/// milliseconds.
-type CellOutcome<E> = (Result<Vec<Row>, E>, f64);
-
-/// Stitches per-cell outcomes (already in canonical cell order) into a
-/// [`GridRun`]: rows concatenate in cell order, failures carry stable
-/// keys, timings stay cell-indexed.
-fn stitch<F: FamilySlug, E>(cells: &[Cell<F>], per_cell: Vec<CellOutcome<E>>) -> GridRun<E> {
-    let mut report = Report::new();
-    let mut failures = Vec::new();
-    let mut cell_ms = Vec::with_capacity(per_cell.len());
-    for (cell, (result, ms)) in cells.iter().zip(per_cell) {
-        cell_ms.push(ms);
-        match result {
-            Ok(rows) => {
-                for row in rows {
-                    report.push(row);
-                }
-            }
-            Err(e) => failures.push((cell.key(), e)),
-        }
-    }
-    GridRun { report, failures, cell_ms }
+/// One single-item group per index: the unscheduled dispatch, where every
+/// item is its own pool job.
+fn singletons(len: usize) -> Vec<Vec<usize>> {
+    (0..len).map(|j| vec![j]).collect()
 }
 
 #[cfg(test)]
@@ -673,8 +657,15 @@ mod tests {
     #[test]
     fn parts_dispatch_is_byte_identical_across_placements() {
         let (cells, parts) = parts_fixture();
-        let measure_part =
-            |cell: usize, part: usize| Ok::<f64, String>((cell * 10 + part) as f64 + 1.0);
+        // Cell 2's only part fails; every other part contributes a
+        // distinct value.
+        let measure_part = |cell: usize, part: usize| {
+            if cell == 2 {
+                Err(format!("n={} refused", cells[cell].n))
+            } else {
+                Ok((cell * 10 + part) as f64 + 1.0)
+            }
+        };
         // Reference: every cell's parts on one worker, in order.
         let reference = BatchRunner::sequential().try_run_parts(
             &cells,
@@ -683,21 +674,42 @@ mod tests {
             measure_part,
             assemble_sum(&cells),
         );
-        assert!(reference.failures.is_empty());
-        assert_eq!(reference.report.rows().len(), cells.len());
-        // A scrambled placement splitting cell 1's parts across workers.
+        assert_eq!(
+            reference.failures,
+            vec![(CellKey { family: "fam".into(), n: 4, seed: 1 }, "n=4 refused".to_string())]
+        );
+        assert_eq!(reference.report.rows().len(), cells.len() - 1);
+        // The whole-cell entry points measure a cell by running all of its
+        // parts in one go, so they must reproduce the reference exactly.
+        let measure = |c: &Cell<&str>| -> Result<Vec<Row>, String> {
+            let cell = cells.iter().position(|x| x == c).expect("cell of the grid");
+            let ps = (0..parts[cell]).map(|p| measure_part(cell, p)).collect::<Result<_, _>>()?;
+            assemble_sum(&cells)(cell, ps)
+        };
+        let pinned = |run: GridRun<String>| {
+            assert_eq!(run.report.render(true), reference.report.render(true));
+            assert_eq!(run.failures, reference.failures);
+            assert_eq!(run.cell_ms.len(), cells.len());
+        };
+        // A scrambled placement splitting cell 1's parts across workers,
+        // and a scrambled whole-cell schedule.
         let scrambled = vec![vec![6, 1], vec![4, 3, 0], vec![5, 2]];
+        let cell_groups = vec![vec![3, 1], vec![2], vec![0]];
         for runner in [BatchRunner::sequential(), BatchRunner::parallel()] {
-            let run = runner.try_run_parts(
+            pinned(runner.try_run_parts(
                 &cells,
                 &parts,
                 &scrambled,
                 measure_part,
                 assemble_sum(&cells),
-            );
-            assert_eq!(run.report.render(true), reference.report.render(true));
-            assert!(run.failures.is_empty());
-            assert_eq!(run.cell_ms.len(), cells.len());
+            ));
+            pinned(runner.try_run_groups(&cells, &cell_groups, measure));
+            pinned(runner.try_run_timed(&cells, measure));
+            let (report, failures) = runner.try_run(&cells, measure);
+            assert_eq!(report.render(true), reference.report.render(true));
+            assert_eq!(failures, reference.failures);
+            let report = runner.run(&cells, |c| measure(c).unwrap_or_default());
+            assert_eq!(report.render(true), reference.report.render(true));
         }
     }
 
@@ -765,5 +777,22 @@ mod tests {
         Sequential.update_nodes(&mut xs, |i, x| *x += i as u64);
         Parallel.update_nodes(&mut ys, |i, y| *y += i as u64);
         assert_eq!(xs, ys);
+        // Results reach `consume` in index order under either executor.
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        Sequential.map_consume(50, |i| i * 3, |i, t| a.push((i, t)));
+        Parallel.map_consume(50, |i| i * 3, |i, t| b.push((i, t)));
+        assert_eq!(a, b);
+        // Sparse updates touch exactly the named slots of both tables.
+        let indices = [9u32, 2, 30, 17];
+        let tables = || (vec![Some(1u64); 40], vec![Some(0usize); 40]);
+        let ((mut l1, mut r1), (mut l2, mut r2)) = (tables(), tables());
+        let f = |k: usize, l: &mut Option<u64>, r: &mut Option<usize>| {
+            *l = l.map(|x| x + k as u64 * 10);
+            *r = r.map(|_| k + 1);
+        };
+        Sequential.update_at(&mut l1, &mut r1, &indices, f);
+        Parallel.update_at(&mut l2, &mut r2, &indices, f);
+        assert_eq!((&l1, &r1), (&l2, &r2));
+        assert_eq!((l1[30], r1[30], l1[0], r1[0]), (Some(21), Some(3), Some(1), Some(0)));
     }
 }

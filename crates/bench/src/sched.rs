@@ -19,10 +19,12 @@
 //!    (two-choice balanced allocation à la Benjamini–Makarychev), then run
 //!    a greedy local-search pass moving cells off the makespan-defining
 //!    worker while that strictly helps.
-//! 3. **Dispatch** — `BatchRunner::try_run_groups` executes each worker's
-//!    cell list as one pool job and stitches rows back in canonical cell
+//! 3. **Dispatch** — `BatchRunner::try_run_parts` executes each worker's
+//!    item list as one pool job and stitches rows back in canonical cell
 //!    order, so a scheduled run's output is byte-identical to `--seq`
-//!    no matter what order cells actually ran in.
+//!    no matter what order cells actually ran in. A schedule's indices
+//!    name work items: a whole cell is one item (`try_run_groups` is the
+//!    all-single-part case), a store-backed cell one item per shard.
 //!
 //! Everything here is deterministic in its inputs: same costs, same
 //! worker count → same schedule, so CI can pin placements exactly.
@@ -150,14 +152,15 @@ pub fn predict_costs(
     preds.iter().zip(statics).map(|(p, s)| p.unwrap_or(s * factor).max(0.0)).collect()
 }
 
-/// A planned assignment of cells to pool workers.
+/// A planned assignment of work items (cells, or the shards of a
+/// store-backed cell) to pool workers.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Schedule {
-    /// One cell-index list per worker; within a group, indices ascend so
-    /// a worker visits its cells in canonical grid order. Together the
-    /// groups partition `0..cells`.
+    /// One item-index list per worker; within a group, indices ascend so
+    /// a worker visits its items in canonical grid order. Together the
+    /// groups partition `0..items`.
     pub groups: Vec<Vec<usize>>,
-    /// The per-cell predicted cost the schedule was built from.
+    /// The per-item predicted cost the schedule was built from.
     pub predicted_ms: Vec<f64>,
     /// Predicted makespan: the heaviest worker's total predicted cost.
     pub predicted_makespan_ms: f64,

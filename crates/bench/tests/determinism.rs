@@ -6,8 +6,8 @@ use lcl_algos::{linial, luby_rounds, matching_rounds, sinkless_det, sinkless_ran
 use lcl_bench::{grid, BatchRunner, Cell, Parallel, Row};
 use lcl_graph::gen;
 use lcl_local::{
-    run_rounds, run_rounds_dense, run_rounds_dense_with, run_rounds_with, run_views,
-    run_views_with, Decision, IdAssignment, Network, Sequential, View, ViewAlgorithm, ViewCtx,
+    run_rounds, run_rounds_dense, run_rounds_with, run_views, run_views_with, Decision,
+    IdAssignment, Network, Sequential, View, ViewAlgorithm, ViewCtx,
 };
 
 /// A realistic measurement closure: real generators, real algorithms, real
@@ -124,24 +124,20 @@ fn round_engine_sparse_matches_dense_oracle() {
         let alg = luby_rounds::DistributedLuby;
         let dense = run_rounds_dense(&net, &alg, seed, cap);
         let sparse = run_rounds(&net, &alg, seed, cap);
-        let dense_p = run_rounds_dense_with(&net, &alg, seed, cap, &Parallel);
         let sparse_p = run_rounds_with(&net, &alg, seed, cap, &Parallel);
         assert_eq!(sparse.outputs, dense.outputs, "luby sparse != dense (seed {seed})");
         assert_eq!(sparse.trace, dense.trace, "luby sparse trace != dense (seed {seed})");
         assert_eq!(sparse.undecided, dense.undecided, "luby undecided diverged (seed {seed})");
-        assert_eq!(dense_p.outputs, dense.outputs, "luby pooled dense diverged (seed {seed})");
         assert_eq!(sparse_p.outputs, dense.outputs, "luby pooled sparse diverged (seed {seed})");
         assert_eq!(sparse_p.trace, dense.trace, "luby pooled sparse trace diverged (seed {seed})");
 
         let alg = matching_rounds::DistributedMatching;
         let dense = run_rounds_dense(&net, &alg, seed, cap);
         let sparse = run_rounds(&net, &alg, seed, cap);
-        let dense_p = run_rounds_dense_with(&net, &alg, seed, cap, &Parallel);
         let sparse_p = run_rounds_with(&net, &alg, seed, cap, &Parallel);
         assert_eq!(sparse.outputs, dense.outputs, "matching sparse != dense (seed {seed})");
         assert_eq!(sparse.trace, dense.trace, "matching sparse trace != dense (seed {seed})");
         assert_eq!(sparse.undecided, dense.undecided, "matching undecided diverged (seed {seed})");
-        assert_eq!(dense_p.outputs, dense.outputs, "matching pooled dense diverged (seed {seed})");
         assert_eq!(
             sparse_p.outputs, dense.outputs,
             "matching pooled sparse diverged (seed {seed})"

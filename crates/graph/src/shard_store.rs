@@ -431,8 +431,9 @@ impl ShardedSnapshot {
     /// # Errors
     ///
     /// I/O errors reading the files, and `InvalidData` when the manifest
-    /// self hash disagrees, a shard image is missing or its header
-    /// disagrees with the manifest, or the members table is corrupt or
+    /// self hash disagrees, a shard image is missing, its length does not
+    /// fit its header or its header disagrees with the manifest, or the
+    /// members table is corrupt or
     /// not an exact partition of the global node ids.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<ShardedSnapshot> {
         let dir = dir.into();
@@ -788,6 +789,10 @@ mod tests {
         gen::cycle(4).freeze(&victim).unwrap();
         let err = ShardedSnapshot::open(&dir).unwrap_err();
         assert!(err.to_string().contains("disagrees with manifest"), "{err}");
+        // A truncated image no longer fits its own header's n and m.
+        fs::write(&victim, &bytes[..bytes.len() - 4]).unwrap();
+        let err = ShardedSnapshot::open(&dir).unwrap_err();
+        assert!(err.to_string().contains("shard-0001") && err.to_string().contains("expected"));
         fs::write(&victim, &bytes).unwrap();
         // Payload corruption inside a shard passes open (header-only) but
         // fails the full load.

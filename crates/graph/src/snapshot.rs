@@ -59,37 +59,52 @@ pub struct SnapshotHeader {
     pub hash: u64,
 }
 
-/// Reads and validates only the 32-byte header of a frozen snapshot.
+/// Reads and validates only the 32-byte header of a frozen snapshot,
+/// including that the file is exactly as long as the header's `n` and `m`
+/// require.
 ///
 /// # Errors
 ///
 /// I/O errors opening the file, and `InvalidData` on a short file, wrong
-/// magic, or unsupported version.
+/// magic, unsupported version, or a file length that disagrees with the
+/// header.
 pub fn snapshot_header(path: &Path) -> io::Result<SnapshotHeader> {
     use std::io::Read;
-    let mut file = File::open(path)?;
-    let mut header = [0u8; HEADER_LEN];
-    let mut filled = 0;
-    while filled < HEADER_LEN {
-        match file.read(&mut header[filled..])? {
-            0 => return Err(invalid(format!("snapshot too short: {filled} bytes"))),
-            k => filled += k,
-        }
+    let file = File::open(path)?;
+    let file_len = file.metadata()?.len();
+    let mut header = Vec::with_capacity(HEADER_LEN);
+    file.take(HEADER_LEN as u64).read_to_end(&mut header)?;
+    parse_header(&header, file_len)
+}
+
+/// Parses and validates a snapshot header from the leading bytes of an
+/// image whose total length is `file_len`. The one place the layout's size
+/// formula lives: a valid image is `HEADER_LEN + 4·((n + 1) + 10m)` bytes.
+fn parse_header(bytes: &[u8], file_len: u64) -> io::Result<SnapshotHeader> {
+    if bytes.len() < HEADER_LEN {
+        return Err(invalid(format!("snapshot too short: {} bytes", bytes.len())));
     }
-    if &header[0..4] != MAGIC {
+    if &bytes[0..4] != MAGIC {
         return Err(invalid("bad snapshot magic".to_string()));
     }
-    let word = |i: usize| u32::from_le_bytes(header[i..i + 4].try_into().expect("4 bytes"));
+    let word = |i: usize| u32::from_le_bytes(bytes[i..i + 4].try_into().expect("4 bytes"));
     let version = word(4);
     if version != VERSION {
         return Err(invalid(format!("unsupported snapshot version {version}")));
     }
+    let (n, m) = (u64::from(word(8)), u64::from(word(12)));
+    let expect_len = HEADER_LEN as u64 + 4 * ((n + 1) + 10 * m);
+    if file_len != expect_len {
+        return Err(invalid(format!(
+            "snapshot is {file_len} bytes, expected {expect_len} for n={n} m={m}"
+        )));
+    }
     Ok(SnapshotHeader {
         version,
-        n: word(8) as usize,
-        m: word(12) as usize,
+        n: n as usize,
+        m: m as usize,
         max_degree: word(16) as usize,
-        hash: u64::from_le_bytes(header[24..32].try_into().expect("8 bytes")),
+        hash: u64::from_le_bytes(bytes[24..32].try_into().expect("8 bytes")),
     })
 }
 
@@ -218,30 +233,9 @@ impl Graph {
     pub fn load_frozen(path: &Path) -> io::Result<Graph> {
         let map = Mmap::map_path(path)?;
         let bytes: &[u8] = &map;
-        if bytes.len() < HEADER_LEN {
-            return Err(invalid(format!("snapshot too short: {} bytes", bytes.len())));
-        }
-        if &bytes[0..4] != MAGIC {
-            return Err(invalid("bad snapshot magic".to_string()));
-        }
-        let word = |i: usize| u32::from_le_bytes(bytes[i..i + 4].try_into().expect("4 bytes"));
-        let version = word(4);
-        if version != VERSION {
-            return Err(invalid(format!("unsupported snapshot version {version}")));
-        }
-        let n = word(8) as usize;
-        let m = word(12) as usize;
-        let max_deg = word(16) as usize;
-        let stored_hash = u64::from_le_bytes(bytes[24..32].try_into().expect("8 bytes"));
+        let SnapshotHeader { n, m, max_degree: max_deg, hash: stored_hash, .. } =
+            parse_header(bytes, bytes.len() as u64)?;
         let payload = &bytes[HEADER_LEN..];
-        let expect_words = (n + 1) + 10 * m;
-        if payload.len() != 4 * expect_words {
-            return Err(invalid(format!(
-                "payload is {} bytes, expected {} for n={n} m={m}",
-                payload.len(),
-                4 * expect_words
-            )));
-        }
         let mut fnv = Fnv::new();
         fnv.write(payload);
         let hash = fnv.finish();
@@ -456,6 +450,17 @@ mod tests {
         .unwrap();
         let err = snapshot_header(&p).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
+        // A header whose n cannot fit the file (n = 2³¹ − 1 on a small
+        // image) is refused from the file length alone, by both readers.
+        fs::write(&p, &{
+            let mut b = bytes.clone();
+            b[8..12].copy_from_slice(&(i32::MAX as u32).to_le_bytes());
+            b
+        })
+        .unwrap();
+        let err = snapshot_header(&p).unwrap_err();
+        assert!(err.to_string().contains("n=2147483647"), "{err}");
+        assert!(Graph::load_frozen(&p).is_err());
         fs::remove_file(&p).ok();
     }
 

@@ -27,6 +27,53 @@ pub trait NodeExecutor {
         T: Send,
         F: Fn(usize, &mut T) + Sync;
 
+    /// Computes `f(0), …, f(len - 1)` and hands each result to `consume`
+    /// on the calling thread, in index order: [`NodeExecutor::map_nodes`]
+    /// for results that feed sequential work, such as the round engine's
+    /// message routing. `f` must be safe to call concurrently for distinct
+    /// indices. The default materializes every result first; an executor
+    /// that stays on the calling thread overrides it to stream each result
+    /// straight into `consume`.
+    fn map_consume<T, F, C>(&self, len: usize, f: F, mut consume: C)
+    where
+        T: Send,
+        F: Fn(usize) -> T + Sync,
+        C: FnMut(usize, T),
+    {
+        for (i, t) in self.map_nodes(len, f).into_iter().enumerate() {
+            consume(i, t);
+        }
+    }
+
+    /// Applies `f(k, &mut left[i], &mut right[i])` with `i = indices[k]`,
+    /// for every `k`: the sparse counterpart of
+    /// [`NodeExecutor::update_nodes`] over two per-node tables, which the
+    /// round engine runs over its active frontier (node state and RNG
+    /// stream). `f` must be safe to call concurrently for distinct
+    /// indices, and `indices` must be distinct. The default moves the
+    /// named entries into a compact block (leaving defaults behind), runs
+    /// [`NodeExecutor::update_nodes`] over it, and moves them back; an
+    /// executor that stays on the calling thread overrides it to update in
+    /// place.
+    fn update_at<T, U, F>(&self, left: &mut [T], right: &mut [U], indices: &[u32], f: F)
+    where
+        T: Send + Default,
+        U: Send + Default,
+        F: Fn(usize, &mut T, &mut U) + Sync,
+    {
+        let mut block: Vec<(T, U)> = indices
+            .iter()
+            .map(|&i| {
+                (std::mem::take(&mut left[i as usize]), std::mem::take(&mut right[i as usize]))
+            })
+            .collect();
+        self.update_nodes(&mut block, |k, (t, u)| f(k, t, u));
+        for ((t, u), &i) in block.into_iter().zip(indices) {
+            left[i as usize] = t;
+            right[i as usize] = u;
+        }
+    }
+
     /// [`NodeExecutor::map_nodes`] with per-worker scratch: each worker
     /// calls `init()` once and threads the value through its share of the
     /// indices. The scratch must be a pure accelerator (a cache, an
@@ -65,6 +112,28 @@ impl NodeExecutor for Sequential {
     {
         for (i, item) in items.iter_mut().enumerate() {
             f(i, item);
+        }
+    }
+
+    fn map_consume<T, F, C>(&self, len: usize, f: F, mut consume: C)
+    where
+        T: Send,
+        F: Fn(usize) -> T + Sync,
+        C: FnMut(usize, T),
+    {
+        for i in 0..len {
+            consume(i, f(i));
+        }
+    }
+
+    fn update_at<T, U, F>(&self, left: &mut [T], right: &mut [U], indices: &[u32], f: F)
+    where
+        T: Send + Default,
+        U: Send + Default,
+        F: Fn(usize, &mut T, &mut U) + Sync,
+    {
+        for (k, &i) in indices.iter().enumerate() {
+            f(k, &mut left[i as usize], &mut right[i as usize]);
         }
     }
 

@@ -21,9 +21,15 @@
 //!   synchronous message passing, for algorithms whose natural unit is the
 //!   round (the randomized propose/retry algorithms). The default engine is
 //!   **event-driven**: only nodes whose closed neighborhood was active last
-//!   round are re-executed; the dense oracle ([`run_rounds_dense`]) executes
-//!   every node every round and is bit-identical for algorithms honoring the
+//!   round are re-executed; the sequential dense oracle
+//!   ([`run_rounds_dense`]) executes every node every round and is
+//!   bit-identical for algorithms honoring the
 //!   [sparse-execution contract](RoundAlgorithm#sparse-execution-contract).
+//!
+//! Each engine has one body, generic over the [`NodeExecutor`]
+//! ([`run_views_capped_with`], [`run_rounds_with`]); the entry points
+//! without `_with` run it over [`Sequential`], and the ones without
+//! `_capped` use the `n + 1` radius cap.
 //!
 //! Randomness is reproducible: every node draws from its own
 //! counter-mode RNG stream derived from `(run seed, node index)`.
@@ -54,8 +60,7 @@ mod views;
 pub use exec::{NodeExecutor, Sequential};
 pub use network::{assigned_ids, IdAssignment, Network};
 pub use rounds::{
-    run_rounds, run_rounds_dense, run_rounds_dense_with, run_rounds_with, NodeCtx, RoundAlgorithm,
-    RoundOutcome,
+    run_rounds, run_rounds_dense, run_rounds_with, NodeCtx, RoundAlgorithm, RoundOutcome,
 };
 pub use shard::{run_rounds_sharded, run_rounds_sharded_with};
 pub use trace::{LocalityTrace, RoundTrace};

@@ -1,27 +1,30 @@
 //! The round engine: explicit synchronous message passing.
 //!
-//! Two semantically identical engines live here:
+//! Two loops live here, and they are semantically identical:
 //!
-//! * the **event-driven sparse engine** ([`run_rounds`],
-//!   [`run_rounds_with`]) — the default. A node is re-executed in round
-//!   `r` only if it deposited a message in round `r − 1` or a message was
+//! * the **event-driven sparse engine** ([`run_rounds_with`], generic over
+//!   the [`NodeExecutor`]; [`run_rounds`] is that loop over
+//!   [`Sequential`]) — the default. A node is re-executed in round `r`
+//!   only if it deposited a message in round `r − 1` or a message was
 //!   deposited *to* it in round `r − 1` (the **active frontier**, tracked
 //!   with the same stamp-per-node membership idiom as the routing arena).
 //!   On workloads whose activity collapses to a thin frontier — late Luby
 //!   rounds, sinkless orientation after orientations settle — per-round
 //!   cost drops from `O(n + m)` to `O(frontier)`.
-//! * the **dense oracle** ([`run_rounds_dense`],
-//!   [`run_rounds_dense_with`]) — every node executes every round. It is
-//!   the correctness reference: for any algorithm honoring the
+//! * the **dense oracle** ([`run_rounds_dense`]) — every node executes
+//!   every round, sequentially. It is the correctness reference: for any
+//!   algorithm honoring the
 //!   [sparse-execution contract](RoundAlgorithm#sparse-execution-contract)
 //!   the two engines are **bit-identical** (outputs and
 //!   [`RoundTrace`]), which the equivalence proptests and the CI
 //!   determinism legs enforce. Setting the `LCL_DENSE_ROUNDS` environment
-//!   variable (to anything but `0` or empty) forces the dense engine
-//!   behind the [`run_rounds`]/[`run_rounds_with`] entry points — the
-//!   escape hatch CI uses to byte-compare persisted runs across engines.
+//!   variable (to anything but `0` or empty) routes the
+//!   [`run_rounds`]/[`run_rounds_with`] entry points to the dense oracle
+//!   — under any executor, so a pooled run then executes sequentially.
+//!   It is the escape hatch CI uses to byte-compare persisted runs across
+//!   engines.
 
-use crate::exec::NodeExecutor;
+use crate::exec::{NodeExecutor, Sequential};
 use crate::network::Network;
 use crate::trace::RoundTrace;
 use crate::views::rand_word;
@@ -173,12 +176,9 @@ fn node_ctxs(net: &Network) -> Vec<NodeCtx> {
         .collect()
 }
 
-/// Per-node counter-mode RNG streams seeded from `(seed, id(v))`.
-fn node_rngs(net: &Network, seed: u64) -> Vec<ChaCha8Rng> {
-    net.graph()
-        .nodes()
-        .map(|v| ChaCha8Rng::seed_from_u64(rand_word(seed, net.id_of(v), 0x0C0D_E5EED)))
-        .collect()
+/// A node's counter-mode RNG stream, seeded from `(seed, id)`.
+fn node_rng(seed: u64, id: u64) -> ChaCha8Rng {
+    ChaCha8Rng::seed_from_u64(rand_word(seed, id, 0x0C0D_E5EED))
 }
 
 /// Packs per-node outputs and round accounting into a [`RoundOutcome`],
@@ -198,7 +198,20 @@ fn finish_outcome<O>(
 }
 
 /// Runs a round algorithm for at most `max_rounds` rounds on the
-/// event-driven sparse engine.
+/// event-driven sparse engine, on the calling thread: [`run_rounds_with`]
+/// over [`Sequential`].
+pub fn run_rounds<A>(net: &Network, alg: &A, seed: u64, max_rounds: u32) -> RoundOutcome<A::Output>
+where
+    A: RoundAlgorithm + Sync,
+    A::State: Send + Sync,
+    A::Msg: Send + Sync,
+    A::Output: Clone + Send,
+{
+    run_rounds_with(net, alg, seed, max_rounds, &Sequential)
+}
+
+/// Runs a round algorithm for at most `max_rounds` rounds on the
+/// event-driven sparse engine, with per-node work on `exec`.
 ///
 /// A node is executed in a round only if it or a neighbor deposited a
 /// message last round (see the
@@ -208,90 +221,15 @@ fn finish_outcome<O>(
 /// round cap — with accounting identical to the dense oracle spinning
 /// there.
 ///
-/// Determinism: node `v`'s RNG stream is seeded from `(seed, id(v))`, so a
-/// run is reproducible and independent of node iteration order.
-pub fn run_rounds<A: RoundAlgorithm>(
-    net: &Network,
-    alg: &A,
-    seed: u64,
-    max_rounds: u32,
-) -> RoundOutcome<A::Output> {
-    if dense_override() {
-        return run_rounds_dense(net, alg, seed, max_rounds);
-    }
-    let g = net.graph();
-    let n = g.node_count();
-    let ctxs = node_ctxs(net);
-    let mut rngs = node_rngs(net, seed);
-    let mut states: Vec<A::State> = (0..n).map(|i| alg.init(&ctxs[i], &mut rngs[i])).collect();
-    let mut outputs: Vec<Option<A::Output>> =
-        (0..n).map(|i| alg.output(&states[i], &ctxs[i])).collect();
-    let mut undecided = outputs.iter().filter(|o| o.is_none()).count();
-
-    let mut arena = RouteArena::new(g);
-    // Round 1 executes everyone (the dense engine calls every node's
-    // `send`); from then on the frontier is senders ∪ receivers.
-    let mut cur = ActiveSet::with_all(n);
-    let mut next = ActiveSet::with_none(n);
-    let mut rounds = 0;
-    let mut completed = undecided == 0;
-    while !completed && rounds < max_rounds {
-        arena.begin_round();
-        next.begin();
-        // Send phase: deposits go straight into the routing arena — no
-        // outbox materialization. A node that deposited re-schedules
-        // itself; the arena records the receivers.
-        for &vi in cur.nodes() {
-            let i = vi as usize;
-            let msgs = alg.send(&states[i], &ctxs[i]);
-            if !msgs.is_empty() {
-                next.insert(vi);
-            }
-            for (port, msg) in msgs {
-                arena.deposit(g, NodeId(vi), port, msg);
-            }
-        }
-        arena.compact_receivers(g);
-        for &w in arena.receivers() {
-            next.insert(w);
-        }
-        // Receive phase: exactly the senders and receivers of this round —
-        // every other node's dense `receive` is inert by contract.
-        for &vi in next.nodes() {
-            let i = vi as usize;
-            alg.receive(&mut states[i], &ctxs[i], arena.inbox(NodeId(vi)), &mut rngs[i]);
-        }
-        // Incremental decided check: only re-executed nodes are re-polled.
-        for &vi in next.nodes() {
-            let i = vi as usize;
-            if outputs[i].is_none() {
-                outputs[i] = alg.output(&states[i], &ctxs[i]);
-                if outputs[i].is_some() {
-                    undecided -= 1;
-                }
-            }
-        }
-        rounds += 1;
-        completed = undecided == 0;
-        std::mem::swap(&mut cur, &mut next);
-        if !completed && cur.nodes().is_empty() {
-            // Quiescent but undecided: no node will ever run again, so the
-            // dense engine would spin unchanged until the cap.
-            rounds = max_rounds;
-        }
-    }
-
-    finish_outcome(outputs, &ctxs, rounds, completed)
-}
-
-/// [`run_rounds`] with a pluggable [`NodeExecutor`].
-///
 /// The `send` and `receive` steps of every round fan out across the
 /// executor **over the active frontier only**; message routing stays
 /// sequential (it is a cheap permutation, and keeping it ordered
-/// guarantees inboxes — and the frontier itself — identical to the
-/// sequential engine). Node RNG streams are per-node, so outcomes are
-/// bit-identical to [`run_rounds`] under **any** executor.
+/// guarantees inboxes — and the frontier itself — identical under every
+/// executor). Node `v`'s RNG stream is seeded from `(seed, id(v))`, so a
+/// run is reproducible and bit-identical under **any** executor.
+///
+/// With `LCL_DENSE_ROUNDS` set, the run goes to the sequential dense
+/// oracle [`run_rounds_dense`] instead, whatever the executor.
 pub fn run_rounds_with<A, X>(
     net: &Network,
     alg: &A,
@@ -307,79 +245,71 @@ where
     X: NodeExecutor,
 {
     if dense_override() {
-        return run_rounds_dense_with(net, alg, seed, max_rounds, exec);
+        return run_rounds_dense(net, alg, seed, max_rounds);
     }
     let g = net.graph();
     let n = g.node_count();
     let ctxs = node_ctxs(net);
-    // Per-node state and RNG live side by side so one executor pass can
-    // mutate both; the `Option` lets the receive phase move the active
-    // cells into a compact scratch block the executor can chunk.
-    let mut cells: Vec<Option<(A::State, ChaCha8Rng)>> = exec.map_nodes(n, |i| {
-        let mut rng = ChaCha8Rng::seed_from_u64(rand_word(seed, ctxs[i].id, 0x0C0D_E5EED));
-        let state = alg.init(&ctxs[i], &mut rng);
-        Some((state, rng))
-    });
-    let mut outputs: Vec<Option<A::Output>> = exec
-        .map_nodes(n, |i| alg.output(&cells[i].as_ref().expect("cell is resident").0, &ctxs[i]));
+    // Per-node state and RNG stream live in two tables, so the send and
+    // poll phases stride only the compact states. The `Option`s are what
+    // a pooled executor leaves behind while it holds a node's entries
+    // (`NodeExecutor::update_at`).
+    let mut rngs: Vec<Option<ChaCha8Rng>> = exec.map_nodes(n, |i| Some(node_rng(seed, ctxs[i].id)));
+    let mut states: Vec<Option<A::State>> = rngs
+        .iter_mut()
+        .zip(&ctxs)
+        .map(|(rng, ctx)| Some(alg.init(ctx, resident_mut(rng))))
+        .collect();
+    let mut outputs: Vec<Option<A::Output>> =
+        exec.map_nodes(n, |i| alg.output(resident(&states[i]), &ctxs[i]));
     let mut undecided = outputs.iter().filter(|o| o.is_none()).count();
 
-    // The outbox container and the scratch block are engine-owned and
-    // reused across rounds; slot `k` of either belongs to the `k`-th
-    // frontier node of the current round.
-    let mut outboxes: Vec<Vec<(usize, A::Msg)>> = Vec::new();
-    outboxes.resize_with(n, Vec::new);
-    let mut scratch: Vec<(A::State, ChaCha8Rng)> = Vec::with_capacity(n);
     let mut arena = RouteArena::new(g);
+    // Round 1 executes everyone (the dense oracle calls every node's
+    // `send`); from then on the frontier is senders ∪ receivers.
     let mut cur = ActiveSet::with_all(n);
     let mut next = ActiveSet::with_none(n);
     let mut rounds = 0;
     let mut completed = undecided == 0;
     while !completed && rounds < max_rounds {
-        let active_len = cur.nodes().len();
-        {
-            let active = cur.nodes();
-            let cells_ref = &cells;
-            exec.update_nodes(&mut outboxes[..active_len], |k, outbox| {
-                let i = active[k] as usize;
-                let (state, _) = cells_ref[i].as_ref().expect("cell is resident");
-                *outbox = alg.send(state, &ctxs[i]);
-            });
-        }
         arena.begin_round();
         next.begin();
-        for (k, outbox) in outboxes.iter_mut().enumerate().take(active_len) {
-            let vi = cur.nodes()[k];
-            if !outbox.is_empty() {
-                next.insert(vi);
-            }
-            for (port, msg) in outbox.drain(..) {
-                arena.deposit(g, NodeId(vi), port, msg);
-            }
-        }
+        // Send phase: outboxes are computed on the executor and routed in
+        // frontier order on this thread. A node that deposited
+        // re-schedules itself; the arena records the receivers.
+        let active = cur.nodes();
+        exec.map_consume(
+            active.len(),
+            |k| {
+                let i = active[k] as usize;
+                alg.send(resident(&states[i]), &ctxs[i])
+            },
+            |k, msgs| {
+                if !msgs.is_empty() {
+                    next.insert(active[k]);
+                }
+                for (port, msg) in msgs {
+                    arena.deposit(g, NodeId(active[k]), port, msg);
+                }
+            },
+        );
         arena.compact_receivers(g);
         for &w in arena.receivers() {
             next.insert(w);
         }
-        scratch.clear();
-        for &vi in next.nodes() {
-            scratch.push(cells[vi as usize].take().expect("cell is resident"));
-        }
-        {
-            let active = next.nodes();
-            let arena_ref = &arena;
-            exec.update_nodes(&mut scratch, |k, (state, rng)| {
-                let vi = active[k];
-                alg.receive(state, &ctxs[vi as usize], arena_ref.inbox(NodeId(vi)), rng);
-            });
-        }
-        for (k, cell) in scratch.drain(..).enumerate() {
-            cells[next.nodes()[k] as usize] = Some(cell);
-        }
+        // Receive phase: exactly the senders and receivers of this round —
+        // every other node's dense `receive` is inert by contract.
+        let active = next.nodes();
+        exec.update_at(&mut states, &mut rngs, active, |k, state, rng| {
+            let vi = active[k];
+            let inbox = arena.inbox(NodeId(vi));
+            alg.receive(resident_mut(state), &ctxs[vi as usize], inbox, resident_mut(rng));
+        });
+        // Incremental decided check: only re-executed nodes are re-polled.
         for &vi in next.nodes() {
             let i = vi as usize;
             if outputs[i].is_none() {
-                outputs[i] = alg.output(&cells[i].as_ref().expect("cell is resident").0, &ctxs[i]);
+                outputs[i] = alg.output(resident(&states[i]), &ctxs[i]);
                 if outputs[i].is_some() {
                     undecided -= 1;
                 }
@@ -389,11 +319,25 @@ where
         completed = undecided == 0;
         std::mem::swap(&mut cur, &mut next);
         if !completed && cur.nodes().is_empty() {
+            // Quiescent but undecided: no node will ever run again, so the
+            // dense oracle would spin unchanged until the cap.
             rounds = max_rounds;
         }
     }
 
     finish_outcome(outputs, &ctxs, rounds, completed)
+}
+
+/// A node's entry in one of the sparse engine's tables, which holds every
+/// node's entry outside a pooled executor's
+/// [`NodeExecutor::update_at`] call.
+fn resident<S>(slot: &Option<S>) -> &S {
+    slot.as_ref().expect("node entry is resident")
+}
+
+/// [`resident`], mutably.
+fn resident_mut<S>(slot: &mut Option<S>) -> &mut S {
+    slot.as_mut().expect("node entry is resident")
 }
 
 /// The dense oracle: every node executes every round, sequentially.
@@ -410,7 +354,7 @@ pub fn run_rounds_dense<A: RoundAlgorithm>(
     let g = net.graph();
     let n = g.node_count();
     let ctxs = node_ctxs(net);
-    let mut rngs = node_rngs(net, seed);
+    let mut rngs: Vec<ChaCha8Rng> = ctxs.iter().map(|c| node_rng(seed, c.id)).collect();
     let mut states: Vec<A::State> = (0..n).map(|i| alg.init(&ctxs[i], &mut rngs[i])).collect();
     // The decided check is incremental: a node is re-polled only while
     // undecided, the final outputs are exactly the accumulated polls (no
@@ -448,78 +392,6 @@ pub fn run_rounds_dense<A: RoundAlgorithm>(
         }
         rounds += 1;
         completed = undecided == 0;
-    }
-
-    finish_outcome(outputs, &ctxs, rounds, completed)
-}
-
-/// [`run_rounds_dense`] with a pluggable [`NodeExecutor`] — the dense
-/// oracle counterpart of [`run_rounds_with`], bit-identical to
-/// [`run_rounds_dense`] under **any** executor.
-pub fn run_rounds_dense_with<A, X>(
-    net: &Network,
-    alg: &A,
-    seed: u64,
-    max_rounds: u32,
-    exec: &X,
-) -> RoundOutcome<A::Output>
-where
-    A: RoundAlgorithm + Sync,
-    A::State: Send + Sync,
-    A::Msg: Send + Sync,
-    A::Output: Clone + Send,
-    X: NodeExecutor,
-{
-    let g = net.graph();
-    let n = g.node_count();
-    let ctxs = node_ctxs(net);
-    // Per-node state and RNG live side by side so one executor pass can
-    // mutate both.
-    let mut cells: Vec<(A::State, ChaCha8Rng)> = exec.map_nodes(n, |i| {
-        let mut rng = ChaCha8Rng::seed_from_u64(rand_word(seed, ctxs[i].id, 0x0C0D_E5EED));
-        let state = alg.init(&ctxs[i], &mut rng);
-        (state, rng)
-    });
-    // The decided check reuses one `Option<Output>` buffer for the whole
-    // run (no per-round allocation), polling a node only while undecided;
-    // the buffer doubles as the final outputs.
-    let mut outputs: Vec<Option<A::Output>> =
-        exec.map_nodes(n, |i| alg.output(&cells[i].0, &ctxs[i]));
-
-    // The outbox container and the routing arena are engine-owned and
-    // reused across rounds. The per-node inner vectors are still fresh
-    // each round — `send` returns an owned `Vec` by contract (see the
-    // ROADMAP open item on an outbox-writer API).
-    let mut outboxes: Vec<Vec<(usize, A::Msg)>> = Vec::new();
-    outboxes.resize_with(n, Vec::new);
-    let mut arena = RouteArena::new(g);
-    let mut rounds = 0;
-    let mut completed = outputs.iter().all(Option::is_some);
-    while !completed && rounds < max_rounds {
-        exec.update_nodes(&mut outboxes, |i, outbox| {
-            *outbox = alg.send(&cells[i].0, &ctxs[i]);
-        });
-        arena.begin_round();
-        for (i, outbox) in outboxes.iter_mut().enumerate() {
-            for (port, msg) in outbox.drain(..) {
-                arena.deposit(g, NodeId(i as u32), port, msg);
-            }
-        }
-        arena.compact_all(g);
-        let arena_ref = &arena;
-        exec.update_nodes(&mut cells, |i, (state, rng)| {
-            alg.receive(state, &ctxs[i], arena_ref.inbox(NodeId(i as u32)), rng);
-        });
-        {
-            let cells_ref = &cells;
-            exec.update_nodes(&mut outputs, |i, slot| {
-                if slot.is_none() {
-                    *slot = alg.output(&cells_ref[i].0, &ctxs[i]);
-                }
-            });
-        }
-        rounds += 1;
-        completed = outputs.iter().all(Option::is_some);
     }
 
     finish_outcome(outputs, &ctxs, rounds, completed)
@@ -588,8 +460,8 @@ impl ActiveSet {
 /// For the sparse engine, `deposit` additionally records the set of
 /// receiving nodes (stamped, first-deposit order), so compaction touches
 /// only `O(messages)` ports ([`RouteArena::compact_receivers`]) and the
-/// engine can fold the receivers into the next frontier. The dense engines
-/// compact every node ([`RouteArena::compact_all`]).
+/// engine can fold the receivers into the next frontier. The dense oracle
+/// compacts every node ([`RouteArena::compact_all`]).
 struct RouteArena<M> {
     /// Per receiving half-edge: the message in flight this round.
     slots: Vec<Option<M>>,
@@ -697,7 +569,7 @@ impl<M> RouteArena<M> {
     }
 
     /// Gathers this round's live slots into the flat per-node inboxes, in
-    /// port order, for **every** node (the dense engines): one pass over
+    /// port order, for **every** node (the dense oracle): one pass over
     /// the CSR port tables, `O(n + m)`.
     fn compact_all(&mut self, g: &lcl_graph::Graph) {
         for v in g.nodes() {

@@ -1,6 +1,6 @@
 //! The view engine: adaptive radius-`r` ball algorithms.
 
-use crate::exec::NodeExecutor;
+use crate::exec::{NodeExecutor, Sequential};
 use crate::network::Network;
 use crate::trace::LocalityTrace;
 use lcl_graph::{Ball, BallCache, EdgeId, Graph, NodeId};
@@ -208,37 +208,29 @@ impl<O> ViewOutcome<O> {
     }
 }
 
-/// Runs a view algorithm to completion on every node.
+/// Runs a view algorithm to completion on every node, on the calling
+/// thread.
 ///
 /// # Panics
 ///
 /// Panics if a node keeps extending beyond radius `n + 1` (a bug in the
 /// algorithm: by then its view is its entire component).
-pub fn run_views<A: ViewAlgorithm>(net: &Network, alg: &A, seed: u64) -> ViewOutcome<A::Output> {
-    run_views_capped(net, alg, seed, net.len() as u32 + 1)
+pub fn run_views<A>(net: &Network, alg: &A, seed: u64) -> ViewOutcome<A::Output>
+where
+    A: ViewAlgorithm + Sync,
+    A::Output: Send,
+{
+    run_views_with(net, alg, seed, &Sequential)
 }
 
-/// Runs a view algorithm with a hard radius cap. Nodes that would need a
-/// larger view give up (`None`) — this is the primitive behind the
-/// lower-bound probes (the `lower_bound_probe` binary): capping a correct
-/// algorithm below its required locality must produce constraint
-/// violations.
-pub fn run_views_capped<A: ViewAlgorithm>(
-    net: &Network,
-    alg: &A,
-    seed: u64,
-    cap: u32,
-) -> ViewOutcome<A::Output> {
-    let ctx = ViewCtx { known_n: net.known_n(), max_degree: net.max_degree(), seed };
-    let mut cache = BallCache::new(net.graph());
-    let mut outputs: Vec<Option<A::Output>> = Vec::with_capacity(net.len());
-    let mut radii = Vec::with_capacity(net.len());
-    for v in net.graph().nodes() {
-        let (out, used) = decide_one(net, alg, &ctx, v, seed, cap, &mut cache);
-        outputs.push(out);
-        radii.push(used);
-    }
-    ViewOutcome { outputs, trace: LocalityTrace::new(radii) }
+/// Runs a view algorithm with a hard radius cap, on the calling thread.
+/// Nodes that would need a larger view give up (`None`).
+pub fn run_views_capped<A>(net: &Network, alg: &A, seed: u64, cap: u32) -> ViewOutcome<A::Output>
+where
+    A: ViewAlgorithm + Sync,
+    A::Output: Send,
+{
+    run_views_capped_with(net, alg, seed, cap, &Sequential)
 }
 
 /// [`run_views`] with a pluggable [`NodeExecutor`].
@@ -255,7 +247,9 @@ where
     run_views_capped_with(net, alg, seed, net.len() as u32 + 1, exec)
 }
 
-/// [`run_views_capped`] with a pluggable [`NodeExecutor`].
+/// The view engine: every node's adaptive view loop, fanned over `exec`,
+/// with radius capped at `cap`. Nodes that would need a larger view give
+/// up (`None`).
 pub fn run_views_capped_with<A, X>(
     net: &Network,
     alg: &A,

@@ -7,10 +7,11 @@
 //! `rows.jsonl` are byte-identical to a `--seq` run's (gated in CI).
 //!
 //! Pooled runs are placed by the cost-model grid scheduler by default
-//! (`lcl_bench::sched`): per-cell costs predicted from persisted timing
+//! (`lcl_bench::sched`): per-item costs predicted from persisted timing
 //! history (static degree-weighted estimates when there is none) drive a
 //! makespan-balanced worker assignment, dispatched through
-//! `BatchRunner::try_run_groups` — output bytes are unaffected because
+//! `BatchRunner::try_run_parts` — a whole cell is one item, a store-backed
+//! cell one item per shard — and output bytes are unaffected because
 //! rows are stitched back in canonical cell order. Every run, scheduled
 //! or not, records per-cell wall clock into the manifest meta
 //! (`cell_ms:<family>:<n>:<seed>`), which is exactly the history the next
@@ -30,10 +31,10 @@ use lcl_core::problems::{MatchingLabel, MisLabel};
 use lcl_graph::ShardedSnapshot;
 use lcl_local::{assigned_ids, IdAssignment, Network};
 use lcl_report::{bench_history, cost_history, RunStore};
-use std::collections::HashMap;
+use std::cell::RefCell;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Experiment id stamped on every scenario row (the run-store directory
 /// carries the scenario name: `scenario-<name>`).
@@ -466,17 +467,8 @@ pub fn expand(spec: &ScenarioSpec, quick: bool) -> Vec<Cell<FamilySpec>> {
 }
 
 /// Plans the makespan-balanced schedule for a cell grid, or `None` when
-/// scheduling is off. Pooled runs schedule by default (safe: output bytes
-/// are stitched in cell order either way); `--no-sched` always wins, and
-/// `--sched` forces planning even for a `--seq` run so predictions land
-/// in the manifest.
-///
-/// The cost model trains on every run persisted under `opts.out` (their
-/// `cell_ms:`/`actual_ms:` manifest meta via [`cost_history`]) plus any
-/// `BENCH_*.json` wall times under `LCL_BENCH_JSON_DIR` ([`bench_history`]);
-/// cells whose `(family, algo-set)` class has no history fall back to the
-/// static degree-weighted estimate [`FamilySpec::cost_weight`] ×
-/// Σ [`AlgoSpec::cost_factor`], calibrated onto the model's scale.
+/// scheduling is off: the planner [`run_spec`] uses, with every cell one
+/// work item.
 #[must_use]
 pub fn schedule_for(
     cells: &[Cell<FamilySpec>],
@@ -484,40 +476,50 @@ pub fn schedule_for(
     opts: &CliOpts,
     runner: &BatchRunner,
 ) -> Option<Schedule> {
-    if !sched_requested(opts, runner) {
+    let items: Vec<(usize, usize)> = cells.iter().enumerate().map(|(ci, c)| (ci, c.n)).collect();
+    plan_items(cells, &items, algos, opts, runner)
+}
+
+/// Plans the makespan-balanced schedule over work items, where
+/// `items[j] = (cell, size)`: a whole cell is one item of the cell's size,
+/// and a store-backed cell contributes one item per shard, costed like a
+/// small cell of the shard's size. Returns `None` when scheduling is off.
+/// Pooled runs schedule by default (safe: output bytes are stitched in
+/// cell order either way); `--no-sched` always wins, and `--sched` forces
+/// planning even for a `--seq` run so predictions land in the manifest.
+///
+/// The cost model trains on every run persisted under `opts.out` (their
+/// `cell_ms:`/`actual_ms:` manifest meta via [`cost_history`]) plus any
+/// `BENCH_*.json` wall times under `LCL_BENCH_JSON_DIR` ([`bench_history`]);
+/// items whose `(family, algo-set)` class has no history fall back to the
+/// static degree-weighted estimate [`FamilySpec::cost_weight`] ×
+/// Σ [`AlgoSpec::cost_factor`], calibrated onto the model's scale.
+fn plan_items(
+    cells: &[Cell<FamilySpec>],
+    items: &[(usize, usize)],
+    algos: &[AlgoSpec],
+    opts: &CliOpts,
+    runner: &BatchRunner,
+) -> Option<Schedule> {
+    if opts.has("--no-sched") || !(opts.has("--sched") || runner.is_parallel()) {
         return None;
     }
-    let model = fit_cost_model(opts);
-    let algo_set = algo_set_slug(algos);
-    let classes: Vec<(String, String, usize)> =
-        cells.iter().map(|c| (c.family.slug(), algo_set.clone(), c.n)).collect();
-    let statics: Vec<f64> = cells
-        .iter()
-        .map(|c| c.family.cost_weight(c.n) * algos.iter().map(|a| a.cost_factor(c.n)).sum::<f64>())
-        .collect();
-    let costs = predict_costs(&model, &classes, &statics);
-    Some(build_schedule(&costs, lcl_bench::pool_width()))
-}
-
-/// Whether this run plans a schedule at all (shared gating of
-/// [`schedule_for`] and the store-backed per-shard planner).
-fn sched_requested(opts: &CliOpts, runner: &BatchRunner) -> bool {
-    !opts.has("--no-sched") && (opts.has("--sched") || runner.is_parallel())
-}
-
-/// Fits the cost model on every persisted run under `opts.out` plus any
-/// `BENCH_*.json` under `LCL_BENCH_JSON_DIR`.
-fn fit_cost_model(opts: &CliOpts) -> CostModel {
     let mut samples = cost_history(&RunStore::new(&opts.out)).unwrap_or_default();
     if let Some(dir) = std::env::var_os("LCL_BENCH_JSON_DIR") {
         samples.extend(bench_history(Path::new(&dir)));
     }
-    CostModel::fit(&samples)
-}
-
-/// The `algos` class label used in cost-model sample keys.
-fn algo_set_slug(algos: &[AlgoSpec]) -> String {
-    algos.iter().map(AlgoSpec::slug).collect::<Vec<_>>().join("+")
+    let model = CostModel::fit(&samples);
+    let algo_set = algos.iter().map(AlgoSpec::slug).collect::<Vec<_>>().join("+");
+    let classes: Vec<(String, String, usize)> =
+        items.iter().map(|&(ci, n)| (cells[ci].family.slug(), algo_set.clone(), n)).collect();
+    let statics: Vec<f64> = items
+        .iter()
+        .map(|&(ci, n)| {
+            cells[ci].family.cost_weight(n) * algos.iter().map(|a| a.cost_factor(n)).sum::<f64>()
+        })
+        .collect();
+    let costs = predict_costs(&model, &classes, &statics);
+    Some(build_schedule(&costs, lcl_bench::pool_width()))
 }
 
 /// Runs a whole scenario through the batch engine and returns the report
@@ -530,12 +532,19 @@ fn algo_set_slug(algos: &[AlgoSpec]) -> String {
 /// its row is accepted. Pooled runs go through the grid scheduler
 /// ([`schedule_for`]) and additionally record `predicted_ms:`/
 /// `actual_ms:` meta per cell plus a `sched` provenance line.
+///
+/// Every grid takes one dispatch path: each store-backed cell contributes
+/// one work item per shard, every other cell one item, and all items
+/// share the single scheduler pool
+/// ([`lcl_bench::BatchRunner::try_run_parts`]). Without a schedule
+/// (`--seq` / `--no-sched`) items run as individual pool jobs in
+/// canonical order.
 #[must_use]
 pub fn run_spec(spec: &ScenarioSpec, opts: &CliOpts) -> (Report, Vec<CellError>) {
     let cells = expand(spec, opts.quick);
     let runner = BatchRunner::from_opts(opts);
     let exec = runner.node_executor();
-    let algos = spec.algos.clone();
+    let algos = &spec.algos;
     let m = MeasureOpts::from_cli(opts);
     // Plan every cell up front: huge cells (above the threshold, with
     // sharding and a snapshot dir on) run store-backed, everything else
@@ -554,42 +563,81 @@ pub fn run_spec(spec: &ScenarioSpec, opts: &CliOpts) -> (Report, Vec<CellError>)
             }
         })
         .collect();
-    // Cells report their instance hash through a side channel (the
-    // measure closure only returns rows); the map is re-read in canonical
-    // cell order below, so pooled and sequential manifests are identical.
-    let hashes: Mutex<HashMap<(String, usize, u64), u64>> = Mutex::new(HashMap::new());
-    let any_store = plans.iter().any(|p| !matches!(p, CellPlan::Whole));
-    let (run, sched_meta) = if any_store {
-        run_with_store_cells(&cells, &plans, &algos, exec, &m, opts, &runner, &hashes)
-    } else {
-        let measure = |cell: &Cell<FamilySpec>| {
-            try_measure_cell_full(cell, &algos, exec, &m).map(|out| {
-                let key = (cell.family.slug(), cell.n, cell.seed);
-                hashes.lock().expect("hash channel poisoned").insert(key, out.graph_hash);
-                out.rows
-            })
-        };
-        let sched = schedule_for(&cells, &algos, opts, &runner);
-        let run = match &sched {
-            Some(s) => runner.try_run_groups(&cells, &s.groups, measure),
-            None => runner.try_run_timed(&cells, measure),
-        };
-        let meta = sched.map(|s| SchedMeta {
-            workers: s.workers,
-            predicted_makespan_ms: s.predicted_makespan_ms,
-            predicted_cell_ms: s.predicted_ms,
-        });
-        (run, meta)
+    // Work items, cell-major: `(cell, size)` per shard of a store cell,
+    // one per other cell.
+    let items: Vec<(usize, usize)> = plans
+        .iter()
+        .enumerate()
+        .flat_map(|(ci, p)| -> Vec<(usize, usize)> {
+            match p {
+                CellPlan::Store(s) => {
+                    (0..s.shard_count().max(1)).map(|k| (ci, s.shard_meta(k).n)).collect()
+                }
+                CellPlan::Whole | CellPlan::StoreFailed(_) => vec![(ci, cells[ci].n)],
+            }
+        })
+        .collect();
+    let mut parts_per_cell = vec![0; cells.len()];
+    for &(ci, _) in &items {
+        parts_per_cell[ci] += 1;
+    }
+    let sched = plan_items(&cells, &items, algos, opts, &runner);
+    let groups: Vec<Vec<usize>> = match &sched {
+        Some(s) => s.groups.clone(),
+        // No plan: one pool job per item (chunk-claimed when parallel,
+        // canonical order when sequential).
+        None => (0..items.len()).map(|j| vec![j]).collect(),
     };
+    let measure_part = |ci: usize, part: usize| -> Result<PartResult, CellError> {
+        match &plans[ci] {
+            CellPlan::Whole => {
+                try_measure_cell_full(&cells[ci], algos, exec, &m).map(PartResult::Whole)
+            }
+            CellPlan::Store(s) => {
+                measure_shard(&cells[ci], s, part, algos, exec, &m).map(PartResult::Shard)
+            }
+            CellPlan::StoreFailed(e) => Err(CellError {
+                family: cells[ci].family.slug(),
+                n: cells[ci].n,
+                seed: cells[ci].seed,
+                detail: e.clone(),
+            }),
+        }
+    };
+    // Assembly runs on the stitching thread, in cell order; it records
+    // each measured cell's instance hash for the manifest.
+    let hashes: RefCell<Vec<Option<u64>>> = RefCell::new(vec![None; cells.len()]);
+    let assemble = |ci: usize, mut parts: Vec<PartResult>| -> Result<Vec<Row>, CellError> {
+        match &plans[ci] {
+            CellPlan::Whole => {
+                let Some(PartResult::Whole(out)) = parts.pop() else {
+                    unreachable!("whole cells are single-part")
+                };
+                hashes.borrow_mut()[ci] = Some(out.graph_hash);
+                Ok(out.rows)
+            }
+            CellPlan::Store(s) => {
+                let shards: Vec<Vec<AlgoPart>> = parts
+                    .into_iter()
+                    .map(|p| match p {
+                        PartResult::Shard(v) => v,
+                        PartResult::Whole(_) => unreachable!("store cells yield shard parts"),
+                    })
+                    .collect();
+                hashes.borrow_mut()[ci] = Some(s.graph_hash());
+                Ok(assemble_store_cell(&cells[ci], s, algos, &shards))
+            }
+            CellPlan::StoreFailed(_) => unreachable!("failed stores never reach assembly"),
+        }
+    };
+    let run = runner.try_run_parts(&cells, &parts_per_cell, &groups, measure_part, assemble);
     let (mut report, failures, cell_ms) = (run.report, run.failures, run.cell_ms);
     report.push_meta("scenario", spec.name.clone());
     report.push_meta("spec_hash", spec.hash());
     report.push_meta("spec_json", spec.to_json());
-    let hashes = hashes.into_inner().expect("hash channel poisoned");
-    for cell in &cells {
-        let key = (cell.family.slug(), cell.n, cell.seed);
-        if let Some(h) = hashes.get(&key) {
-            report.push_meta(format!("graph:{}:{}:{}", key.0, key.1, key.2), format!("{h:016x}"));
+    for (cell, h) in cells.iter().zip(hashes.into_inner()) {
+        if let Some(h) = h {
+            report.push_meta(format!("graph:{}", cell.key()), format!("{h:016x}"));
         }
     }
     // Store-backed cells leave a shard-count marker, so `results show`
@@ -603,17 +651,22 @@ pub fn run_spec(spec: &ScenarioSpec, opts: &CliOpts) -> (Report, Vec<CellError>)
     for (cell, ms) in cells.iter().zip(&cell_ms) {
         report.push_meta(format!("cell_ms:{}", cell.key()), format!("{ms:.3}"));
     }
-    if let Some(s) = &sched_meta {
+    if let Some(s) = &sched {
         report.push_meta(
             "sched",
             format!("workers={} predicted_makespan_ms={:.3}", s.workers, s.predicted_makespan_ms),
         );
         // Predicted vs. actual per cell — the self-improvement record
-        // `results show` aggregates into a prediction error.
+        // `results show` aggregates into a prediction error. A store
+        // cell's prediction is the sum over its shard items.
+        let mut predicted_cell_ms = vec![0.0; cells.len()];
+        for (&(ci, _), ms) in items.iter().zip(&s.predicted_ms) {
+            predicted_cell_ms[ci] += ms;
+        }
         for (i, cell) in cells.iter().enumerate() {
             report.push_meta(
                 format!("predicted_ms:{}", cell.key()),
-                format!("{:.3}", s.predicted_cell_ms[i]),
+                format!("{:.3}", predicted_cell_ms[i]),
             );
             report.push_meta(format!("actual_ms:{}", cell.key()), format!("{:.3}", cell_ms[i]));
         }
@@ -623,134 +676,6 @@ pub fn run_spec(spec: &ScenarioSpec, opts: &CliOpts) -> (Report, Vec<CellError>)
         eprintln!("snapshot cache: {hits} hits, {misses} misses in {}", cache.dir().display());
     }
     (report, failures.into_iter().map(|(_, e)| e).collect())
-}
-
-/// Schedule provenance shared by the cell-level and part-level dispatch
-/// paths: predictions are reported per **cell** either way (a store cell's
-/// prediction is the sum over its shard items).
-struct SchedMeta {
-    workers: usize,
-    predicted_makespan_ms: f64,
-    predicted_cell_ms: Vec<f64>,
-}
-
-/// The mixed huge+small dispatch: every store-backed cell contributes one
-/// work item per shard, every in-memory cell one item, and all items share
-/// the single scheduler pool ([`lcl_bench::BatchRunner::try_run_parts`]).
-/// Without a schedule (`--seq` / `--no-sched`) items run as individual
-/// pool jobs in canonical order.
-#[allow(clippy::too_many_arguments)]
-fn run_with_store_cells(
-    cells: &[Cell<FamilySpec>],
-    plans: &[CellPlan],
-    algos: &[AlgoSpec],
-    exec: EngineExec,
-    m: &MeasureOpts,
-    opts: &CliOpts,
-    runner: &BatchRunner,
-    hashes: &Mutex<HashMap<(String, usize, u64), u64>>,
-) -> (lcl_bench::GridRun<CellError>, Option<SchedMeta>) {
-    let parts_per_cell: Vec<usize> = plans
-        .iter()
-        .map(|p| match p {
-            CellPlan::Store(s) => s.shard_count().max(1),
-            CellPlan::Whole | CellPlan::StoreFailed(_) => 1,
-        })
-        .collect();
-    // Item-level cost classes: a shard item is costed like a small cell
-    // of the shard's size (the per-component sizes come straight from the
-    // shard manifest).
-    let item_sizes: Vec<(usize, usize)> = plans
-        .iter()
-        .enumerate()
-        .flat_map(|(ci, p)| -> Vec<(usize, usize)> {
-            match p {
-                CellPlan::Store(s) => {
-                    (0..s.shard_count().max(1)).map(|k| (ci, s.shard_meta(k).n)).collect()
-                }
-                CellPlan::Whole | CellPlan::StoreFailed(_) => vec![(ci, cells[ci].n)],
-            }
-        })
-        .collect();
-    let sched = if sched_requested(opts, runner) {
-        let model = fit_cost_model(opts);
-        let algo_set = algo_set_slug(algos);
-        let classes: Vec<(String, String, usize)> = item_sizes
-            .iter()
-            .map(|&(ci, n)| (cells[ci].family.slug(), algo_set.clone(), n))
-            .collect();
-        let statics: Vec<f64> = item_sizes
-            .iter()
-            .map(|&(ci, n)| {
-                cells[ci].family.cost_weight(n)
-                    * algos.iter().map(|a| a.cost_factor(n)).sum::<f64>()
-            })
-            .collect();
-        let costs = predict_costs(&model, &classes, &statics);
-        Some(build_schedule(&costs, lcl_bench::pool_width()))
-    } else {
-        None
-    };
-    let groups: Vec<Vec<usize>> = match &sched {
-        Some(s) => s.groups.clone(),
-        // No plan: one pool job per item (chunk-claimed when parallel,
-        // canonical order when sequential).
-        None => (0..item_sizes.len()).map(|j| vec![j]).collect(),
-    };
-    let measure_part = |ci: usize, part: usize| -> Result<PartResult, CellError> {
-        match &plans[ci] {
-            CellPlan::Whole => {
-                try_measure_cell_full(&cells[ci], algos, exec, m).map(PartResult::Whole)
-            }
-            CellPlan::Store(s) => {
-                measure_shard(&cells[ci], s, part, algos, exec, m).map(PartResult::Shard)
-            }
-            CellPlan::StoreFailed(e) => Err(CellError {
-                family: cells[ci].family.slug(),
-                n: cells[ci].n,
-                seed: cells[ci].seed,
-                detail: e.clone(),
-            }),
-        }
-    };
-    let assemble = |ci: usize, mut parts: Vec<PartResult>| -> Result<Vec<Row>, CellError> {
-        let cell = &cells[ci];
-        let key = (cell.family.slug(), cell.n, cell.seed);
-        match &plans[ci] {
-            CellPlan::Whole => {
-                let Some(PartResult::Whole(out)) = parts.pop() else {
-                    unreachable!("whole cells are single-part")
-                };
-                hashes.lock().expect("hash channel poisoned").insert(key, out.graph_hash);
-                Ok(out.rows)
-            }
-            CellPlan::Store(s) => {
-                let shards: Vec<Vec<AlgoPart>> = parts
-                    .into_iter()
-                    .map(|p| match p {
-                        PartResult::Shard(v) => v,
-                        PartResult::Whole(_) => unreachable!("store cells yield shard parts"),
-                    })
-                    .collect();
-                hashes.lock().expect("hash channel poisoned").insert(key, s.graph_hash());
-                Ok(assemble_store_cell(cell, s, algos, &shards))
-            }
-            CellPlan::StoreFailed(_) => unreachable!("failed stores never reach assembly"),
-        }
-    };
-    let run = runner.try_run_parts(cells, &parts_per_cell, &groups, measure_part, assemble);
-    let meta = sched.map(|s| {
-        let mut predicted_cell_ms = vec![0.0; cells.len()];
-        for (j, &(ci, _)) in item_sizes.iter().enumerate() {
-            predicted_cell_ms[ci] += s.predicted_ms[j];
-        }
-        SchedMeta {
-            workers: s.workers,
-            predicted_makespan_ms: s.predicted_makespan_ms,
-            predicted_cell_ms,
-        }
-    });
-    (run, meta)
 }
 
 /// The run-store experiment name for a scenario.

@@ -5,9 +5,11 @@
 //! the next run's cost model) and the independent verifier's tolerance of
 //! the timing meta keys.
 
-use lcl_bench::{CliOpts, CostModel};
+use lcl_bench::{BatchRunner, CliOpts, CostModel};
 use lcl_report::{cost_history, prediction_error, RunStore};
-use lcl_scenario::{catalog, experiment_name, run_spec, AlgoSpec, FamilySpec, ScenarioSpec};
+use lcl_scenario::{
+    catalog, expand, experiment_name, run_spec, schedule_for, AlgoSpec, FamilySpec, ScenarioSpec,
+};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -104,6 +106,7 @@ fn skewed_spec_agrees_across_every_dispatch_mode() {
     let root = scratch("skew");
     let out = root.to_string_lossy().into_owned();
     let spec = skewed_spec();
+    let cells = expand(&spec, false);
     let (baseline, fail) = run_spec(&spec, &opts(&["--seq", "--out", &out]));
     assert!(fail.is_empty(), "{fail:?}");
     // Pooled scheduled (default), pooled chunked (--no-sched), pooled
@@ -123,6 +126,27 @@ fn skewed_spec_agrees_across_every_dispatch_mode() {
             && (mode.contains(&"--sched") || !mode.contains(&"--seq"));
         let expect = if planned { spec.cell_count(false) } else { 0 };
         assert_eq!(count_meta(report.meta(), "predicted_ms:"), expect, "{mode:?}");
+        // `run_spec` plans at item level; with every cell whole (one item
+        // per cell) that plan must be exactly the cell-level
+        // `schedule_for` plan: same per-cell predictions, same `sched`
+        // line.
+        let Some(plan) = schedule_for(&cells, &spec.algos, &o, &BatchRunner::from_opts(&o)) else {
+            assert!(!planned, "{mode:?}");
+            continue;
+        };
+        let meta = |key: String| {
+            report.meta().iter().find(|(k, _)| *k == key).map(|(_, v)| v.clone()).expect(&key)
+        };
+        let recorded: Vec<String> =
+            cells.iter().map(|c| meta(format!("predicted_ms:{}", c.key()))).collect();
+        let planned_ms: Vec<String> =
+            plan.predicted_ms.iter().map(|ms| format!("{ms:.3}")).collect();
+        assert_eq!(recorded, planned_ms, "{mode:?}");
+        let sched_line = format!(
+            "workers={} predicted_makespan_ms={:.3}",
+            plan.workers, plan.predicted_makespan_ms
+        );
+        assert_eq!(meta("sched".to_string()), sched_line, "{mode:?}");
     }
     let _ = std::fs::remove_dir_all(&root);
 }

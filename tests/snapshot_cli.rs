@@ -40,6 +40,18 @@ fn info_prints_header_fields_without_loading_tables() {
     let err = String::from_utf8_lossy(&bad.stderr);
     assert!(err.contains("unreadable header"), "{err}");
 
+    // So does a header whose n cannot fit the file: n rewritten to
+    // 2³¹ − 1 on the valid image, caught from the file length alone.
+    let froze = snapshot(&["freeze", "torus", "64", "1", &image_str]);
+    assert!(froze.status.success(), "{}", String::from_utf8_lossy(&froze.stderr));
+    let mut bytes = std::fs::read(&image).unwrap();
+    bytes[8..12].copy_from_slice(&(i32::MAX as u32).to_le_bytes());
+    std::fs::write(&image, &bytes).unwrap();
+    let huge = snapshot(&["info", &image_str]);
+    assert_eq!(huge.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&huge.stderr);
+    assert!(err.contains("unreadable header") && err.contains("n=2147483647"), "{err}");
+
     let missing = snapshot(&["info", dir.join("nope.lclg").display().to_string().as_str()]);
     assert_eq!(missing.status.code(), Some(1));
     std::fs::remove_dir_all(&dir).ok();
