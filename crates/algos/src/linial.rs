@@ -19,11 +19,21 @@
 //!    the top color class recolors greedily (its members form an
 //!    independent set of the conflict graph *within their class*, so one
 //!    round per class suffices).
+//!
+//! The elimination is simulated by recoloring only the nodes that change:
+//! the nodes above the `(Δ+1)`-palette, top class first, in place. Lower
+//! classes keep their colors until their own round, so this equals the
+//! round-by-round sweep ([`try_run_round_by_round`], the oracle it is
+//! tested against) at `O(n + Σ deg(high))` work instead of `O(n)` per
+//! round; the reported `elimination_rounds` are the LOCAL rounds, one per
+//! eliminated class.
 
 use crate::error::AlgoError;
 use lcl_core::problems::ColoringLabel;
 use lcl_core::Labeling;
+use lcl_graph::{Graph, NodeId};
 use lcl_local::{Network, NodeExecutor, Sequential};
+use std::cmp::Reverse;
 
 /// Result of a Linial coloring run.
 #[derive(Clone, Debug)]
@@ -85,15 +95,42 @@ pub fn try_run(net: &Network) -> Result<LinialOutcome, AlgoError> {
     try_run_with(net, &Sequential)
 }
 
-/// [`try_run`] with a pluggable [`NodeExecutor`]: every simulated round's
-/// per-node recoloring step fans out across the executor. Each node reads
-/// only the previous round's colors, so the outcome is bit-identical to
-/// [`try_run`] under **any** executor.
+/// [`try_run`] with a pluggable [`NodeExecutor`]: every Linial reduction
+/// round's per-node recoloring step fans out across the executor. The
+/// color-class elimination does not use the executor: it recolors only
+/// the nodes above the palette, in place on the calling thread (see the
+/// module docs). Each node reads only the previous round's colors, so the
+/// outcome is bit-identical to [`try_run`] under **any** executor.
 ///
 /// # Errors
 ///
 /// As [`try_run`].
 pub fn try_run_with<X: NodeExecutor>(net: &Network, exec: &X) -> Result<LinialOutcome, AlgoError> {
+    run_phases(net, exec, eliminate_in_place)
+}
+
+/// [`try_run`] with the color-class elimination simulated the way the
+/// LOCAL model runs it: one sweep over every node per eliminated class.
+/// This is the reference the in-place elimination of [`try_run_with`] is
+/// tested against; it returns the same outcome at `O(n)` work per round.
+///
+/// # Errors
+///
+/// As [`try_run`].
+pub fn try_run_round_by_round(net: &Network) -> Result<LinialOutcome, AlgoError> {
+    run_phases(net, &Sequential, eliminate_by_rounds)
+}
+
+/// Eliminates the color classes `target..k` of a proper `k`-coloring,
+/// returning the rounds spent (one per class).
+type Eliminate = fn(&Graph, &mut [u64], u64, u64) -> u32;
+
+/// The Linial reduction rounds on `exec`, then `eliminate`.
+fn run_phases<X: NodeExecutor>(
+    net: &Network,
+    exec: &X,
+    eliminate: Eliminate,
+) -> Result<LinialOutcome, AlgoError> {
     let g = net.graph();
     if g.edges().any(|e| g.is_self_loop(e)) {
         return Err(AlgoError::Unsolvable {
@@ -112,7 +149,7 @@ pub fn try_run_with<X: NodeExecutor>(net: &Network, exec: &X) -> Result<LinialOu
     while let Some(q) = linial_prime(k, delta) {
         let d = digits(k, q);
         let next: Vec<u64> = exec.map_nodes(n, |vi| {
-            let v = lcl_graph::NodeId(vi as u32);
+            let v = NodeId(vi as u32);
             let pv = poly(colors[v.index()], q, d);
             let forbidden: Vec<Vec<u64>> =
                 g.neighbors(v).map(|(w, _)| poly(colors[w.index()], q, d)).collect();
@@ -131,25 +168,7 @@ pub fn try_run_with<X: NodeExecutor>(net: &Network, exec: &X) -> Result<LinialOu
         reduction_rounds += 1;
     }
 
-    // Color-class elimination down to Δ + 1.
-    let mut elimination_rounds = 0;
-    let target = delta + 1;
-    while k > target {
-        let top = k - 1;
-        let next: Vec<u64> = exec.map_nodes(n, |vi| {
-            let v = lcl_graph::NodeId(vi as u32);
-            if colors[v.index()] != top {
-                return colors[v.index()];
-            }
-            let used: Vec<u64> = g.neighbors(v).map(|(w, _)| colors[w.index()]).collect();
-            (0..target)
-                .find(|c| !used.contains(c))
-                .expect("degree ≤ Δ leaves a free color in a (Δ+1)-palette")
-        });
-        colors = next;
-        k -= 1;
-        elimination_rounds += 1;
-    }
+    let elimination_rounds = eliminate(g, &mut colors, k, delta + 1);
 
     let colors_u32: Vec<u32> = colors.iter().map(|&c| c as u32).collect();
     let labeling = Labeling::build(
@@ -164,6 +183,56 @@ pub fn try_run_with<X: NodeExecutor>(net: &Network, exec: &X) -> Result<LinialOu
         crate::error::self_certify(g, &outcome.solution(g));
     }
     Ok(outcome)
+}
+
+/// The smallest color in `0..target` no neighbor of `v` holds.
+fn free_color(g: &Graph, colors: &[u64], v: NodeId, target: u64) -> u64 {
+    let used: Vec<u64> = g.neighbors(v).map(|(w, _)| colors[w.index()]).collect();
+    (0..target)
+        .find(|c| !used.contains(c))
+        .expect("degree ≤ Δ leaves a free color in a (Δ+1)-palette")
+}
+
+/// [`Eliminate`] touching only the nodes that change: the nodes colored
+/// `target` or above, recolored in place in (color descending, index)
+/// order. When a node's turn comes, its higher-colored neighbors already
+/// hold their final colors and its lower-colored ones still hold their
+/// old ones — exactly what it reads in its own round of the sweep.
+fn eliminate_in_place(g: &Graph, colors: &mut [u64], k: u64, target: u64) -> u32 {
+    let mut high: Vec<NodeId> = g.nodes().filter(|v| colors[v.index()] >= target).collect();
+    high.sort_unstable_by_key(|&v| (Reverse(colors[v.index()]), v.index()));
+    for v in high {
+        colors[v.index()] = free_color(g, colors, v, target);
+    }
+    elimination_round_count(k, target)
+}
+
+/// [`Eliminate`] as the LOCAL model runs it: one round per class above the
+/// palette, top class first, each round a sweep over every node.
+fn eliminate_by_rounds(g: &Graph, colors: &mut [u64], mut k: u64, target: u64) -> u32 {
+    let rounds = elimination_round_count(k, target);
+    while k > target {
+        let top = k - 1;
+        let next: Vec<u64> = g
+            .nodes()
+            .map(|v| {
+                if colors[v.index()] == top {
+                    free_color(g, colors, v, target)
+                } else {
+                    colors[v.index()]
+                }
+            })
+            .collect();
+        colors.copy_from_slice(&next);
+        k -= 1;
+    }
+    rounds
+}
+
+/// Rounds to eliminate the classes `target..k`: one each.
+fn elimination_round_count(k: u64, target: u64) -> u32 {
+    u32::try_from(k.saturating_sub(target))
+        .expect("the palette left by the reduction rounds is small")
 }
 
 /// Number of base-`q` digits needed for values below `k`.

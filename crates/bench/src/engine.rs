@@ -16,13 +16,20 @@
 //! guarantee (enforced by `tests/determinism.rs`).
 
 use crate::{Report, Row};
-use lcl_local::NodeExecutor;
+use lcl_local::{NodeExecutor, Sequential};
 use rayon::prelude::*;
 use std::fmt;
 use std::time::Instant;
 
 /// Rayon-backed [`NodeExecutor`]: per-node work fans across cores, results
 /// land in node order.
+///
+/// Work fans out only when a pool worker is free to take it. Inside a grid
+/// cell that already runs on a busy pool, the pool is
+/// [saturated](rayon::saturated): every hook then runs on the calling
+/// thread, and `map_consume` / `update_at` take [`Sequential`]'s streaming,
+/// in-place path instead of buffering outboxes and moving table entries
+/// out and back. Outputs are bit-identical either way.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Parallel;
 
@@ -41,6 +48,32 @@ impl NodeExecutor for Parallel {
         F: Fn(usize, &mut T) + Sync,
     {
         items.par_iter_mut().enumerate().for_each(|(i, item)| f(i, item));
+    }
+
+    fn map_consume<T, F, C>(&self, len: usize, f: F, consume: C)
+    where
+        T: Send,
+        F: Fn(usize) -> T + Sync,
+        C: FnMut(usize, T),
+    {
+        if rayon::saturated() {
+            Sequential.map_consume(len, f, consume);
+        } else {
+            lcl_local::map_consume_buffered(self, len, f, consume);
+        }
+    }
+
+    fn update_at<T, U, F>(&self, left: &mut [T], right: &mut [U], indices: &[u32], f: F)
+    where
+        T: Send + Default,
+        U: Send + Default,
+        F: Fn(usize, &mut T, &mut U) + Sync,
+    {
+        if rayon::saturated() {
+            Sequential.update_at(left, right, indices, f);
+        } else {
+            lcl_local::update_at_gathered(self, left, right, indices, f);
+        }
     }
 
     fn map_nodes_init<T, S, I, F>(&self, len: usize, init: I, f: F) -> Vec<T>
@@ -766,25 +799,25 @@ mod tests {
         );
     }
 
-    #[test]
-    fn node_executor_parallel_matches_sequential() {
-        use lcl_local::{NodeExecutor, Sequential};
-        let a = Sequential.map_nodes(100, |i| i * 7);
-        let b = Parallel.map_nodes(100, |i| i * 7);
+    /// Runs every `NodeExecutor` hook under `Parallel` and `Sequential`
+    /// and compares the results.
+    fn assert_parallel_hooks_match_sequential() {
+        let a = Sequential.map_nodes(1000, |i| i * 7);
+        let b = Parallel.map_nodes(1000, |i| i * 7);
         assert_eq!(a, b);
-        let mut xs = vec![1u64; 64];
-        let mut ys = vec![1u64; 64];
+        let mut xs = vec![1u64; 640];
+        let mut ys = vec![1u64; 640];
         Sequential.update_nodes(&mut xs, |i, x| *x += i as u64);
         Parallel.update_nodes(&mut ys, |i, y| *y += i as u64);
         assert_eq!(xs, ys);
         // Results reach `consume` in index order under either executor.
         let (mut a, mut b) = (Vec::new(), Vec::new());
-        Sequential.map_consume(50, |i| i * 3, |i, t| a.push((i, t)));
-        Parallel.map_consume(50, |i| i * 3, |i, t| b.push((i, t)));
+        Sequential.map_consume(500, |i| i * 3, |i, t| a.push((i, t)));
+        Parallel.map_consume(500, |i| i * 3, |i, t| b.push((i, t)));
         assert_eq!(a, b);
         // Sparse updates touch exactly the named slots of both tables.
-        let indices = [9u32, 2, 30, 17];
-        let tables = || (vec![Some(1u64); 40], vec![Some(0usize); 40]);
+        let indices: Vec<u32> = [9u32, 2, 30, 17].into_iter().chain((40..400).step_by(3)).collect();
+        let tables = || (vec![Some(1u64); 400], vec![Some(0usize); 400]);
         let ((mut l1, mut r1), (mut l2, mut r2)) = (tables(), tables());
         let f = |k: usize, l: &mut Option<u64>, r: &mut Option<usize>| {
             *l = l.map(|x| x + k as u64 * 10);
@@ -794,5 +827,45 @@ mod tests {
         Parallel.update_at(&mut l2, &mut r2, &indices, f);
         assert_eq!((&l1, &r1), (&l2, &r2));
         assert_eq!((l1[30], r1[30], l1[0], r1[0]), (Some(21), Some(3), Some(1), Some(0)));
+        // Per-worker scratch never leaks into results.
+        let with_scratch = |seen: &mut Vec<usize>, i: usize| {
+            seen.push(i);
+            i * 5
+        };
+        let a = Sequential.map_nodes_init(700, Vec::new, with_scratch);
+        let b = Parallel.map_nodes_init(700, Vec::new, with_scratch);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn node_executor_parallel_matches_sequential() {
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        use std::time::Duration;
+        // At top level the hooks fan out (unless other tests hold every
+        // worker).
+        assert_parallel_hooks_match_sequential();
+        // Inside a job that occupies every worker they run in place. The
+        // wait for the other participants is bounded, so a pool already
+        // busy with other tests (or one without workers) only costs time:
+        // the hooks are then compared on whatever path the pool allows.
+        let threads = rayon::current_num_threads();
+        let (arrived, left) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        (0..threads).into_par_iter().for_each(|_| {
+            arrived.fetch_add(1, SeqCst);
+            let deadline = Instant::now() + Duration::from_secs(1);
+            while arrived.load(SeqCst) < threads && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            // All chunks started and none has left: they run on distinct
+            // threads, so every worker was inside this job while the
+            // saturation flag was read.
+            let all_in = arrived.load(SeqCst) == threads;
+            let saturated = rayon::saturated();
+            if all_in && left.load(SeqCst) == 0 {
+                assert!(saturated, "every worker is inside this job");
+            }
+            assert_parallel_hooks_match_sequential();
+            left.fetch_add(1, SeqCst);
+        });
     }
 }

@@ -31,18 +31,17 @@ pub trait NodeExecutor {
     /// on the calling thread, in index order: [`NodeExecutor::map_nodes`]
     /// for results that feed sequential work, such as the round engine's
     /// message routing. `f` must be safe to call concurrently for distinct
-    /// indices. The default materializes every result first; an executor
-    /// that stays on the calling thread overrides it to stream each result
-    /// straight into `consume`.
-    fn map_consume<T, F, C>(&self, len: usize, f: F, mut consume: C)
+    /// indices. The default is [`map_consume_buffered`], which
+    /// materializes every result first; an executor that stays on the
+    /// calling thread (always, or whenever no worker is free to fan out
+    /// to) overrides it to stream each result straight into `consume`.
+    fn map_consume<T, F, C>(&self, len: usize, f: F, consume: C)
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
         C: FnMut(usize, T),
     {
-        for (i, t) in self.map_nodes(len, f).into_iter().enumerate() {
-            consume(i, t);
-        }
+        map_consume_buffered(self, len, f, consume);
     }
 
     /// Applies `f(k, &mut left[i], &mut right[i])` with `i = indices[k]`,
@@ -50,28 +49,18 @@ pub trait NodeExecutor {
     /// [`NodeExecutor::update_nodes`] over two per-node tables, which the
     /// round engine runs over its active frontier (node state and RNG
     /// stream). `f` must be safe to call concurrently for distinct
-    /// indices, and `indices` must be distinct. The default moves the
-    /// named entries into a compact block (leaving defaults behind), runs
-    /// [`NodeExecutor::update_nodes`] over it, and moves them back; an
-    /// executor that stays on the calling thread overrides it to update in
-    /// place.
+    /// indices, and `indices` must be distinct. The default is
+    /// [`update_at_gathered`], which moves the named entries out and back
+    /// around an [`NodeExecutor::update_nodes`] call; an executor that
+    /// stays on the calling thread (always, or whenever no worker is free
+    /// to fan out to) overrides it to update in place.
     fn update_at<T, U, F>(&self, left: &mut [T], right: &mut [U], indices: &[u32], f: F)
     where
         T: Send + Default,
         U: Send + Default,
         F: Fn(usize, &mut T, &mut U) + Sync,
     {
-        let mut block: Vec<(T, U)> = indices
-            .iter()
-            .map(|&i| {
-                (std::mem::take(&mut left[i as usize]), std::mem::take(&mut right[i as usize]))
-            })
-            .collect();
-        self.update_nodes(&mut block, |k, (t, u)| f(k, t, u));
-        for ((t, u), &i) in block.into_iter().zip(indices) {
-            left[i as usize] = t;
-            right[i as usize] = u;
-        }
+        update_at_gathered(self, left, right, indices, f);
     }
 
     /// [`NodeExecutor::map_nodes`] with per-worker scratch: each worker
@@ -89,6 +78,47 @@ pub trait NodeExecutor {
         F: Fn(&mut S, usize) -> T + Sync,
     {
         self.map_nodes(len, |i| f(&mut init(), i))
+    }
+}
+
+/// The fan-out form of [`NodeExecutor::map_consume`]: computes every
+/// result through [`NodeExecutor::map_nodes`], holding all of them at
+/// once, then hands them to `consume` in index order.
+pub fn map_consume_buffered<X, T, F, C>(exec: &X, len: usize, f: F, mut consume: C)
+where
+    X: NodeExecutor + ?Sized,
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+    C: FnMut(usize, T),
+{
+    for (i, t) in exec.map_nodes(len, f).into_iter().enumerate() {
+        consume(i, t);
+    }
+}
+
+/// The fan-out form of [`NodeExecutor::update_at`]: moves the named
+/// entries into a compact block (leaving defaults behind), runs
+/// [`NodeExecutor::update_nodes`] over it, and moves them back.
+pub fn update_at_gathered<X, T, U, F>(
+    exec: &X,
+    left: &mut [T],
+    right: &mut [U],
+    indices: &[u32],
+    f: F,
+) where
+    X: NodeExecutor + ?Sized,
+    T: Send + Default,
+    U: Send + Default,
+    F: Fn(usize, &mut T, &mut U) + Sync,
+{
+    let mut block: Vec<(T, U)> = indices
+        .iter()
+        .map(|&i| (std::mem::take(&mut left[i as usize]), std::mem::take(&mut right[i as usize])))
+        .collect();
+    exec.update_nodes(&mut block, |k, (t, u)| f(k, t, u));
+    for ((t, u), &i) in block.into_iter().zip(indices) {
+        left[i as usize] = t;
+        right[i as usize] = u;
     }
 }
 

@@ -57,7 +57,7 @@ mod shard;
 mod trace;
 mod views;
 
-pub use exec::{NodeExecutor, Sequential};
+pub use exec::{map_consume_buffered, update_at_gathered, NodeExecutor, Sequential};
 pub use network::{assigned_ids, IdAssignment, Network};
 pub use rounds::{
     run_rounds, run_rounds_dense, run_rounds_with, NodeCtx, RoundAlgorithm, RoundOutcome,

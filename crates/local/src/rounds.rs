@@ -221,12 +221,16 @@ where
 /// round cap — with accounting identical to the dense oracle spinning
 /// there.
 ///
-/// The `send` and `receive` steps of every round fan out across the
-/// executor **over the active frontier only**; message routing stays
-/// sequential (it is a cheap permutation, and keeping it ordered
-/// guarantees inboxes — and the frontier itself — identical under every
-/// executor). Node `v`'s RNG stream is seeded from `(seed, id(v))`, so a
-/// run is reproducible and bit-identical under **any** executor.
+/// The `send` and `receive` steps of every round go to the executor
+/// **over the active frontier only** ([`NodeExecutor::map_consume`] and
+/// [`NodeExecutor::update_at`]); message routing stays sequential (it is
+/// a cheap permutation, and keeping it ordered guarantees inboxes — and
+/// the frontier itself — identical under every executor). A pooled
+/// executor fans this per-node work out only when a worker is free to
+/// take it; otherwise, as inside a grid cell on a busy pool, it streams
+/// each outbox into routing and updates each node in place, like
+/// [`Sequential`]. Node `v`'s RNG stream is seeded from `(seed, id(v))`,
+/// so a run is reproducible and bit-identical under **any** executor.
 ///
 /// With `LCL_DENSE_ROUNDS` set, the run goes to the sequential dense
 /// oracle [`run_rounds_dense`] instead, whatever the executor.
